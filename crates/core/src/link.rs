@@ -1055,8 +1055,10 @@ impl FdLink {
     /// Within a segment the physics/control pass stays per-sample (it owns
     /// the shared RNG draw order and A's abort reflex), while B's SIC →
     /// resampler → receiver chain consumes the staged block through the
-    /// slice entry points ([`DataReceiver::push_slice`]) once the header is
-    /// accepted and a mid-block loss of lock is impossible.
+    /// slice entry points: [`DataReceiver::push_slice`] once the header is
+    /// accepted and a mid-block loss of lock is impossible, and
+    /// `DataReceiver::push_acquiring` (lane-batched preamble scoring,
+    /// stopping at the lock sample) while B hunts.
     ///
     /// This is the non-trace `run_frame` engine; it is public so benches
     /// and equivalence tests can pit it against the reference on any build.
@@ -1118,6 +1120,7 @@ impl FdLink {
             env_b: env_b_stage,
             b_state: b_state_stage,
             resampled,
+            rs_ends,
         } = scratch;
         if let FeedbackPolicy::Stream(bits) = &opts.feedback {
             for &b in bits {
@@ -1439,47 +1442,53 @@ impl FdLink {
             }
 
             // ---- pass 2: B-side SIC → resampler → receiver -------------
-            if b_was_locked {
+            // The whole segment is staged through SIC and the resampler
+            // first; while acquiring, `rs_ends[i]` marks where input sample
+            // `t + i`'s outputs end.
+            resampled.clear();
+            rs_ends.clear();
+            let acquiring = !b_was_locked;
+            let staged = env_b_stage[..seg_used].iter().zip(&b_state_stage[..seg_used]);
+            for (&env_b, &b_state) in staged {
+                let sic_b_out = sic_b
+                    .correct(env_b, b_state)
+                    .map(|v| if b_state { v * fx.sic_gain_b } else { v });
+                let corrected = match sic_b_out {
+                    Some(v) => {
+                        b_hold = v;
+                        v
+                    }
+                    None => b_hold,
+                };
+                b_clock_rs.push(corrected, resampled);
+                if acquiring {
+                    rs_ends.push(resampled.len());
+                }
+            }
+            if !acquiring {
                 // Header accepted (else this segment would be fused): no
                 // re-arm is possible, so the whole block flows through the
-                // slice entry points in one go.
-                resampled.clear();
-                for i in 0..seg_used {
-                    let b_state = b_state_stage[i];
-                    let sic_b_out = sic_b
-                        .correct(env_b_stage[i], b_state)
-                        .map(|v| if b_state { v * fx.sic_gain_b } else { v });
-                    let corrected = match sic_b_out {
-                        Some(v) => {
-                            b_hold = v;
-                            v
-                        }
-                        None => b_hold,
-                    };
-                    b_clock_rs.push(corrected, resampled);
-                }
+                // slice entry point in one go.
                 rx.push_slice(resampled);
             } else {
-                // Acquiring: per-sample so the exact lock instant is
-                // observed and the feedback epoch lands on the right tick.
-                for i in 0..seg_used {
-                    let ti = t + i;
-                    let b_state = b_state_stage[i];
-                    let sic_b_out = sic_b
-                        .correct(env_b_stage[i], b_state)
-                        .map(|v| if b_state { v * fx.sic_gain_b } else { v });
-                    let corrected = match sic_b_out {
-                        Some(v) => {
-                            b_hold = v;
-                            v
+                // Acquiring: feed the receiver in batches up to its first
+                // state change, finish the outputs of the input sample that
+                // changed it, and run the per-input checks at that sample's
+                // tick, so a lock schedules the feedback epoch on the same
+                // tick as the reference.
+                let mut k = 0;
+                let mut i = 0;
+                while i < seg_used {
+                    if !b_was_locked {
+                        k += rx.push_acquiring(&resampled[k..]);
+                        if rx.state() == RxState::Acquiring {
+                            break;
                         }
-                        None => b_hold,
-                    };
-                    resampled.clear();
-                    b_clock_rs.push(corrected, resampled);
-                    for &v in resampled.iter() {
-                        rx.push_sample(v);
+                        i += rs_ends[i..].partition_point(|&e| e < k);
                     }
+                    let end = rs_ends[i];
+                    rx.push_slice(&resampled[k..end]);
+                    k = end;
                     // A lock can fall back to acquisition in-segment only
                     // when the guard outlasts the header airtime; the epoch
                     // it clears was pinned beyond this segment either way.
@@ -1495,8 +1504,9 @@ impl FdLink {
                     }
                     if !b_was_locked && rx.state() != RxState::Acquiring {
                         b_was_locked = true;
-                        b_epoch = Some(ti + guard);
+                        b_epoch = Some(t + i + guard);
                     }
+                    i += 1;
                 }
             }
 
@@ -1817,6 +1827,42 @@ mod tests {
             2,
             "fading stream",
         );
+    }
+
+    #[test]
+    fn block_matches_reference_out_of_range_hunt() {
+        // Past the forward link's range B hunts the whole frame: frames
+        // never lock, or lock only after rejections. This is where the
+        // block engine feeds the receiver in acquisition batches.
+        let payload: Vec<u8> = (0..16u8).map(|i| i.wrapping_mul(23)).collect();
+        let (mut locked, mut unlocked, mut rejections) = (0, 0, 0);
+        for (k, dist) in [0.9, 1.2, 1.5, 1.8, 2.1, 2.4].into_iter().enumerate() {
+            let mut cfg = LinkConfig::default_fd();
+            cfg.geometry.device_dist_m = dist;
+            for (j, opts) in [RunOptions::fd_monitor(), RunOptions::fd_early_abort()]
+                .iter()
+                .enumerate()
+            {
+                let seed = 300 + 2 * k as u64 + j as u64;
+                let mut rng_r = ChaCha8Rng::seed_from_u64(seed);
+                let mut rng_b = ChaCha8Rng::seed_from_u64(seed);
+                let mut link_r = FdLink::new(cfg.clone(), &mut rng_r).unwrap();
+                let mut link_b = FdLink::new(cfg.clone(), &mut rng_b).unwrap();
+                for f in 0..12 {
+                    let r = link_r
+                        .run_frame_reference(&payload, opts, &mut rng_r, None)
+                        .unwrap();
+                    let b = link_b.run_frame_block(&payload, opts, &mut rng_b, None).unwrap();
+                    assert_outcomes_identical(&r, &b, &format!("{dist} m opts {j} frame {f}"));
+                    locked += usize::from(r.b_locked);
+                    unlocked += usize::from(!r.b_locked);
+                    rejections += r.sync_rejections;
+                }
+            }
+        }
+        assert!(locked > 0, "no frame locked: the grid never leaves acquisition");
+        assert!(unlocked > 0, "every frame locked: the grid never hunts");
+        assert!(rejections > 0, "no candidate was ever rejected");
     }
 
     #[test]

@@ -145,10 +145,12 @@ pub struct DataReceiver {
     timing_prefix: Vec<f64>,
     /// Reused by `commit_lock` (was a fresh allocation per lock).
     replay_scratch: Vec<f64>,
-    /// Reused by `acquire_block` for the slice run through the smoother.
+    /// Reused by `acquire_block`/`acquire_run` for the slice run through
+    /// the smoother.
     acq_smoothed: Vec<f64>,
-    /// Scratch smoother snapshot for `acquire_block` — `clone_from` of the
-    /// live smoother each chunk, allocation-free once capacities match.
+    /// Scratch smoother snapshot for `acquire_block`/`acquire_run` —
+    /// `clone_from` of the live smoother each chunk, allocation-free once
+    /// capacities match.
     acq_smoother: MovingAverage,
     /// Reused by `verify_candidate` for the per-chip integration means.
     verify_means: Vec<f64>,
@@ -371,9 +373,11 @@ impl DataReceiver {
 
     /// Feeds a contiguous slice of envelope samples. Bit-identical to
     /// calling [`Self::push_sample`] once per element: state transitions
-    /// are honoured at every sample boundary, but while `Receiving` the
-    /// samples up to the next chip boundary are accumulated in one run
-    /// (same summation order) instead of dispatching per sample.
+    /// are honoured at every sample boundary, but while `Acquiring` the
+    /// samples go through [`Self::push_acquiring`] (FFT screen, then
+    /// lane-batched exact scoring), and while `Receiving` the samples up
+    /// to the next chip boundary are accumulated in one run (same
+    /// summation order) instead of dispatching per sample.
     pub fn push_slice(&mut self, xs: &[f64]) {
         let mut i = 0;
         while i < xs.len() {
@@ -382,30 +386,7 @@ impl DataReceiver {
                     self.samples_seen += xs.len() - i;
                     return;
                 }
-                RxState::Acquiring => {
-                    let skipped = self.acquire_block(&xs[i..]);
-                    if skipped > 0 {
-                        i += skipped;
-                        continue;
-                    }
-                    // The screen declined (candidate region ahead, window
-                    // not primed, or the remainder is too small to be worth
-                    // an FFT): step one template length per-sample so any
-                    // declaration is carried through exactly, without
-                    // re-screening on every sample.
-                    let run = self
-                        .searcher
-                        .template_len()
-                        .max(64)
-                        .min(xs.len() - i);
-                    let mut done = 0;
-                    while done < run && self.state == RxState::Acquiring {
-                        self.samples_seen += 1;
-                        self.acquire(xs[i + done]);
-                        done += 1;
-                    }
-                    i += done;
-                }
+                RxState::Acquiring => i += self.push_acquiring(&xs[i..]),
                 RxState::Receiving => {
                     // `chip_samples < chip_target` always holds here, so the
                     // run is non-empty and never crosses a chip boundary.
@@ -424,6 +405,31 @@ impl DataReceiver {
                 }
             }
         }
+    }
+
+    /// Feeds envelope samples while the receiver hunts for the preamble
+    /// and stops right after the sample at which it leaves `Acquiring` (a
+    /// committed lock, or the re-arm budget spent). Returns the samples
+    /// consumed: all of `xs` when the state never changes, 0 when the
+    /// receiver is not acquiring. Bit-identical to calling
+    /// [`Self::push_sample`] on the consumed prefix; a caller that must act
+    /// on the exact lock sample (the block frame engine schedules B's
+    /// feedback epoch from it) feeds whole blocks through here.
+    pub(crate) fn push_acquiring(&mut self, xs: &[f64]) -> usize {
+        let mut i = 0;
+        while i < xs.len() && self.state == RxState::Acquiring {
+            let skipped = self.acquire_block(&xs[i..]);
+            if skipped > 0 {
+                i += skipped;
+                continue;
+            }
+            // The screen declined (candidate region ahead, window not
+            // primed, or the remainder is too small to be worth an FFT):
+            // score one template length exactly before re-screening.
+            let run = self.searcher.template_len().max(64).min(xs.len() - i);
+            i += self.acquire_run(&xs[i..i + run]);
+        }
+        i
     }
 
     /// `true` once the current lock's frame header has passed its CRC.
@@ -468,11 +474,47 @@ impl DataReceiver {
         skip
     }
 
+    /// Exact acquisition over `xs`, window positions scored in lane
+    /// batches by [`PreambleSearcher::scan`]; stops right after the sample
+    /// at which the state leaves `Acquiring` and returns the samples
+    /// consumed. Like [`acquire_block`](Self::acquire_block) it smooths
+    /// through a snapshot of the live smoother (the smoother never reacts
+    /// to sync events, so the smoothed stream stays valid across them),
+    /// then advances the live smoother and raw history over each consumed
+    /// prefix before the prefix's event is handled — the order
+    /// [`acquire`](Self::acquire) keeps per sample.
+    fn acquire_run(&mut self, xs: &[f64]) -> usize {
+        self.acq_smoother.clone_from(&self.sync_smoother);
+        let mut smoothed = std::mem::take(&mut self.acq_smoothed);
+        self.acq_smoother.process_block_into(xs, &mut smoothed);
+        let mut done = 0;
+        while done < xs.len() && self.state == RxState::Acquiring {
+            let (n, event, peak) = self.searcher.scan(&smoothed[done..]);
+            for &env in &xs[done..done + n] {
+                self.history.push_evict(env);
+                self.sync_smoother.process(env);
+            }
+            self.samples_seen += n;
+            self.sync_peak = self.sync_peak.max(peak);
+            done += n;
+            self.on_sync_event(event);
+        }
+        self.acq_smoothed = smoothed;
+        done
+    }
+
     fn acquire(&mut self, env: f64) {
         self.history.push_evict(env);
         let smoothed = self.sync_smoother.process(env);
         let event = self.searcher.process(smoothed);
         self.sync_peak = self.sync_peak.max(self.searcher.last_score());
+        self.on_sync_event(event);
+    }
+
+    /// Acts on one searcher outcome: stage-2 verification and commit, or
+    /// the rejection bookkeeping. Shared by the per-sample and batched
+    /// acquisition paths.
+    fn on_sync_event(&mut self, event: SyncEvent) {
         match event {
             SyncEvent::Searching => {}
             SyncEvent::Rejected { score, sharpness } => {
@@ -1084,6 +1126,138 @@ mod tests {
         for chunk in [97, 640, 1000, 4096, wave.len()] {
             assert_slice_matches_scalar(&cfg, &wave, chunk);
         }
+    }
+
+    /// Feeds `wave` to one receiver per sample and to another in
+    /// `chunk`-sized slices through [`DataReceiver::push_acquiring`] while
+    /// it acquires (`push_slice` otherwise). After every batched call the
+    /// scalar receiver is advanced by the same samples and the acquisition
+    /// observables must agree to the bit; a call that ends outside
+    /// `Acquiring` must have stopped on exactly the sample that left it.
+    /// Returns the final state and whether a call ended in `Failed`.
+    fn assert_acquiring_matches_scalar(
+        cfg: &PhyConfig,
+        wave: &[f64],
+        chunk: usize,
+    ) -> (RxState, bool) {
+        let mut a = DataReceiver::new(cfg.clone());
+        let mut b = DataReceiver::new(cfg.clone());
+        let mut failed_in_acquire = false;
+        for (c, part) in wave.chunks(chunk).enumerate() {
+            let mut i = 0;
+            while i < part.len() {
+                if b.state() != RxState::Acquiring {
+                    b.push_slice(&part[i..]);
+                    for &v in &part[i..] {
+                        a.push_sample(v);
+                    }
+                    break;
+                }
+                let n = b.push_acquiring(&part[i..]);
+                assert!(n >= 1, "chunk {chunk}: nothing consumed");
+                for &v in &part[i..i + n - 1] {
+                    a.push_sample(v);
+                }
+                assert_eq!(a.state(), RxState::Acquiring, "chunk {chunk}: overran a transition");
+                a.push_sample(part[i + n - 1]);
+                i += n;
+                let at = c * chunk + i;
+                assert_eq!(a.state(), b.state(), "chunk {chunk} @{at}");
+                if b.state() == RxState::Acquiring {
+                    assert_eq!(i, part.len(), "chunk {chunk} @{at}: stopped early");
+                }
+                failed_in_acquire |= b.state() == RxState::Failed;
+                assert_eq!(a.samples_seen, b.samples_seen, "chunk {chunk} @{at}");
+                assert_eq!(a.sync_attempts(), b.sync_attempts(), "chunk {chunk} @{at}");
+                assert_eq!(a.rejections(), b.rejections(), "chunk {chunk} @{at}");
+                assert_eq!(
+                    a.sync_peak_seen().to_bits(),
+                    b.sync_peak_seen().to_bits(),
+                    "chunk {chunk} @{at}"
+                );
+                assert_eq!(a.sync_lock_info(), b.sync_lock_info(), "chunk {chunk} @{at}");
+                assert_eq!(a.locked_at, b.locked_at, "chunk {chunk} @{at}");
+            }
+        }
+        let end = b.state();
+        assert_same_decode(&mut a, &mut b, &[], &format!("chunk {chunk}"));
+        (end, failed_in_acquire)
+    }
+
+    /// `render` with chips `flip` of the preamble inverted: the
+    /// correlation still clears the threshold, the stage-2 re-decode sees
+    /// the mismatches.
+    fn render_bad_preamble(
+        cfg: &PhyConfig,
+        payload: &[u8],
+        idle: usize,
+        flip: &[usize],
+    ) -> Vec<f64> {
+        let (lo, hi) = (0.3, 1.0);
+        let mut wave = render(cfg, payload, idle, lo, hi);
+        let sps = cfg.samples_per_chip;
+        for &c in flip {
+            for v in &mut wave[idle + c * sps..idle + (c + 1) * sps] {
+                *v = if *v == hi { lo } else { hi };
+            }
+        }
+        wave
+    }
+
+    #[test]
+    fn push_acquiring_matches_push_sample() {
+        let cfg = cfg();
+        // Noise hunt, a corrupted-header frame (lock, header-CRC re-arm,
+        // hunt again), then a clean frame.
+        let mut wave = Vec::new();
+        let mut lcg: u64 = 0x0DDB1A5E5BAD5EED;
+        for _ in 0..1_500 {
+            lcg = lcg.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
+            let u = ((lcg >> 33) as f64) / ((1u64 << 31) as f64);
+            wave.push(0.2 + 0.8 * u);
+        }
+        let mut junk = render(&cfg, &[0xAAu8; 8], 40, 0.3, 1.0);
+        let pre = 40 + cfg.preamble.len() * cfg.samples_per_bit();
+        for v in junk
+            .iter_mut()
+            .skip(pre)
+            .take(crate::frame::HEADER_BITS * cfg.samples_per_bit())
+        {
+            *v = 0.65;
+        }
+        wave.extend_from_slice(&junk);
+        let payload: Vec<u8> = (0..24u8).map(|i| i.wrapping_mul(7)).collect();
+        wave.extend_from_slice(&render(&cfg, &payload, 70, 0.3, 1.0));
+        for chunk in [1, 7, 8, 9, 80, 333, wave.len()] {
+            let (end, _) = assert_acquiring_matches_scalar(&cfg, &wave, chunk);
+            assert_eq!(end, RxState::Done, "chunk {chunk}");
+        }
+    }
+
+    #[test]
+    fn push_acquiring_matches_push_sample_into_failed() {
+        // Stage-2 rejections during acquisition exhaust the re-arm budget:
+        // the batched path must stop on the very sample that fails the
+        // receiver, with the same rejection ledger.
+        let mut cfg = cfg();
+        cfg.sync.max_preamble_chip_errors = 1;
+        cfg.sync.max_rearms = 2;
+        let mut wave = Vec::new();
+        for k in 0..4 {
+            wave.extend_from_slice(&render_bad_preamble(&cfg, &[0x5Au8; 4], 30 + k, &[3, 11, 20]));
+        }
+        for chunk in [1, 8, 13, 80, 1000, wave.len()] {
+            let (end, failed_in_acquire) = assert_acquiring_matches_scalar(&cfg, &wave, chunk);
+            assert_eq!(end, RxState::Failed, "chunk {chunk}");
+            assert!(failed_in_acquire, "chunk {chunk}: Failed not reached while acquiring");
+        }
+        let mut rx = DataReceiver::new(cfg.clone());
+        rx.push_slice(&wave);
+        assert_eq!(rx.sync_rejections(), cfg.sync.max_rearms + 1);
+        assert!(rx
+            .rejections()
+            .iter()
+            .all(|r| r.reason == SyncRejectReason::PreambleMismatch));
     }
 
     #[test]

@@ -44,6 +44,11 @@ pub struct LinkScratch {
     pub(crate) b_state: Vec<bool>,
     /// Resampler output staging (both engines).
     pub(crate) resampled: Vec<f64>,
+    /// Block pipeline, while B acquires: end of each staged input sample's
+    /// resampler output within `resampled`, so the receiver can be fed in
+    /// batches and a state change still be traced to the input tick that
+    /// caused it.
+    pub(crate) rs_ends: Vec<usize>,
 }
 
 impl LinkScratch {
@@ -61,6 +66,7 @@ impl LinkScratch {
             env_b: Vec::new(),
             b_state: Vec::new(),
             resampled: Vec::new(),
+            rs_ends: Vec::new(),
         })
     }
 }

@@ -47,6 +47,11 @@ pub fn ncc(window: &[f64], template: &[f64]) -> f64 {
 /// any candidate the screen leaves in doubt.
 const SCREEN_EPS: f64 = 1e-6;
 
+/// Consecutive window positions [`PreambleSearcher::scan`] scores at once.
+/// Each lane is an independent accumulator chain, so the lanes fill the
+/// FP pipeline that a single serial chain leaves idle.
+const SCAN_LANES: usize = 8;
+
 /// Mean and centred sum of squares of a template, accumulated in the same
 /// index order as [`ncc`] so downstream scores stay bit-identical to it.
 fn template_stats(template: &[f64]) -> (f64, f64) {
@@ -124,8 +129,9 @@ pub struct PreambleSearcher {
     /// sidelobe estimate.
     peak_guard: usize,
     last_sharpness: f64,
-    /// Reused by [`fast_forward`](PreambleSearcher::fast_forward) for the
-    /// window-prefix + block sequence handed to the FFT screen.
+    /// Reused by [`fast_forward`](PreambleSearcher::fast_forward) and
+    /// [`scan`](PreambleSearcher::scan) for the window-prefix + block
+    /// sequence they score.
     seq_scratch: Vec<f64>,
     /// FFT workspace for the screen — owned by the searcher so steady-state
     /// acquisition scans perform no heap allocations.
@@ -258,6 +264,45 @@ impl PreambleSearcher {
         }
     }
 
+    /// Scores the [`SCAN_LANES`] windows `seq[j..j + m]` (lane `j`), where
+    /// `seq` holds `m + SCAN_LANES - 1` samples in age order. Every lane
+    /// keeps its own `sum`/`num`/`dw` chains and adds its terms in exactly
+    /// [`score_current`](Self::score_current)'s order — oldest to newest,
+    /// nothing reassociated — so each lane's score is bit-identical to the
+    /// scalar score of the same window.
+    fn score_lanes(&self, seq: &[f64]) -> [f64; SCAN_LANES] {
+        let m = self.template.len();
+        debug_assert_eq!(seq.len(), m + SCAN_LANES - 1);
+        let lanes = || {
+            seq.windows(SCAN_LANES)
+                .map(|w| <&[f64; SCAN_LANES]>::try_from(w).expect("window of SCAN_LANES"))
+        };
+        let mut sum = [0.0f64; SCAN_LANES];
+        for w in lanes().take(m) {
+            for (s, &x) in sum.iter_mut().zip(w) {
+                *s += x;
+            }
+        }
+        let mw = sum.map(|s| s / m as f64);
+        let mt = self.template_mean;
+        let mut num = [0.0f64; SCAN_LANES];
+        let mut dw = [0.0f64; SCAN_LANES];
+        for (w, &t) in lanes().zip(&self.template) {
+            let b = t - mt;
+            for (((n, d), &x), &mu) in num.iter_mut().zip(&mut dw).zip(w).zip(&mw) {
+                let a = x - mu;
+                *n += a * b;
+                *d += a * a;
+            }
+        }
+        let mut out = [0.0f64; SCAN_LANES];
+        for ((o, &n), &d) in out.iter_mut().zip(&num).zip(&dw) {
+            let den = (d * self.template_ss).sqrt();
+            *o = if den <= 0.0 { 0.0 } else { n / den };
+        }
+        out
+    }
+
     /// Pushes one envelope sample.
     pub fn process(&mut self, x: f64) -> SyncEvent {
         self.window.push_evict(x);
@@ -265,6 +310,71 @@ impl PreambleSearcher {
             return SyncEvent::Searching;
         }
         let score = self.score_current();
+        self.step(score)
+    }
+
+    /// Feeds `xs` until the first non-[`SyncEvent::Searching`] outcome,
+    /// scoring `SCAN_LANES` (8) consecutive window positions per pass.
+    ///
+    /// Returns `(consumed, event, peak)`: the samples consumed (all of
+    /// `xs`, or up to and including the one that produced `event`), that
+    /// event (`Searching` when none fired), and the running maximum of
+    /// [`last_score`](Self::last_score) after each consumed sample
+    /// (`f64::NEG_INFINITY` for an empty `xs`). The searcher ends in
+    /// exactly the state that calling [`process`](Self::process) on the
+    /// consumed samples one at a time leaves it in: window positions are
+    /// independent, the score of each one is bit-identical to the scalar
+    /// score (see `score_lanes`), and the scores pass through the same
+    /// peak-tracking state machine in order. Lanes scored past the event
+    /// are discarded.
+    pub fn scan(&mut self, xs: &[f64]) -> (usize, SyncEvent, f64) {
+        let mut peak = f64::NEG_INFINITY;
+        let mut used = 0;
+        // Positions before the window fills (start-up, or the refill after
+        // a re-arm) score nothing; the one that fills it is scored here.
+        while used < xs.len() && !self.window.is_full() {
+            let event = self.process(xs[used]);
+            used += 1;
+            peak = peak.max(self.last_score);
+            if event != SyncEvent::Searching {
+                return (used, event, peak);
+            }
+        }
+        let rest = &xs[used..];
+        if rest.is_empty() {
+            return (used, SyncEvent::Searching, peak);
+        }
+        // `seq[p..p + m]` is the window after pushing `rest[p]`; the zero
+        // tail keeps the last lane group full width (its extra lanes are
+        // never consumed).
+        let m = self.template.len();
+        let mut seq = std::mem::take(&mut self.seq_scratch);
+        seq.clear();
+        let (s1, s2) = self.window.as_slices();
+        seq.extend(s1.iter().chain(s2).skip(1));
+        seq.extend_from_slice(rest);
+        seq.resize(seq.len() + SCAN_LANES - 1, 0.0);
+        let mut event = SyncEvent::Searching;
+        let mut p = 0;
+        'scan: while p < rest.len() {
+            let scores = self.score_lanes(&seq[p..p + m + SCAN_LANES - 1]);
+            for (&x, &score) in rest[p..].iter().zip(&scores) {
+                self.window.push_evict(x);
+                event = self.step(score);
+                p += 1;
+                peak = peak.max(self.last_score);
+                if event != SyncEvent::Searching {
+                    break 'scan;
+                }
+            }
+        }
+        self.seq_scratch = seq;
+        (used + p, event, peak)
+    }
+
+    /// Advances the peak-tracking state machine by one window score —
+    /// shared by [`process`](Self::process) and [`scan`](Self::scan).
+    fn step(&mut self, score: f64) -> SyncEvent {
         self.last_score = score;
         self.scores.push_evict(score);
         if self.rising {
@@ -795,6 +905,202 @@ mod tests {
                 assert_eq!(s.last_score().to_bits(), collect_and_ncc(&s).to_bits());
             }
         }
+    }
+
+    /// An event as raw bits, so float fields compare exactly.
+    fn event_bits(ev: SyncEvent) -> (u8, usize, u64, u64) {
+        match ev {
+            SyncEvent::Searching => (0, 0, 0, 0),
+            SyncEvent::Locked { lag, score, sharpness } => {
+                (1, lag, score.to_bits(), sharpness.to_bits())
+            }
+            SyncEvent::Rejected { score, sharpness } => {
+                (2, 0, score.to_bits(), sharpness.to_bits())
+            }
+        }
+    }
+
+    /// Feeds `stream` to a clone of `s0` per sample through `process`, and
+    /// to another in `chunk`-sized slices through `scan`, re-arming both
+    /// after every lock when `rearm_on_lock` (as a receiver whose
+    /// verification fails would). Asserts, to the bit: every event and
+    /// where it fired, each `scan` call's peak against the running max of
+    /// `last_score` over the samples it consumed, and the final
+    /// `last_score`/`last_sharpness`. Returns the events.
+    fn assert_scan_matches_process(
+        s0: &PreambleSearcher,
+        stream: &[f64],
+        chunk: usize,
+        rearm_on_lock: bool,
+    ) -> Vec<(usize, SyncEvent)> {
+        let mut reference = s0.clone();
+        let mut ref_events = Vec::new();
+        let mut ref_scores = Vec::with_capacity(stream.len());
+        for (i, &x) in stream.iter().enumerate() {
+            let ev = reference.process(x);
+            ref_scores.push(reference.last_score());
+            if ev != SyncEvent::Searching {
+                ref_events.push((i, ev));
+                if rearm_on_lock && matches!(ev, SyncEvent::Locked { .. }) {
+                    reference.rearm();
+                }
+            }
+        }
+
+        let mut scanned = s0.clone();
+        let mut events = Vec::new();
+        for (c, part) in stream.chunks(chunk).enumerate() {
+            let mut i = 0;
+            while i < part.len() {
+                let at = c * chunk + i;
+                let (n, ev, peak) = scanned.scan(&part[i..]);
+                assert!(n >= 1 && n <= part.len() - i, "chunk {chunk}: consumed {n}");
+                let want = ref_scores[at..at + n]
+                    .iter()
+                    .fold(f64::NEG_INFINITY, |p, &s| p.max(s));
+                assert_eq!(peak.to_bits(), want.to_bits(), "chunk {chunk}: peak at {at}");
+                assert_eq!(
+                    scanned.last_score().to_bits(),
+                    ref_scores[at + n - 1].to_bits(),
+                    "chunk {chunk}: last_score at {}",
+                    at + n - 1
+                );
+                i += n;
+                if ev == SyncEvent::Searching {
+                    assert_eq!(i, part.len(), "chunk {chunk}: stopped without an event");
+                } else {
+                    events.push((at + n - 1, ev));
+                    if rearm_on_lock && matches!(ev, SyncEvent::Locked { .. }) {
+                        scanned.rearm();
+                    }
+                }
+            }
+        }
+
+        assert_eq!(events.len(), ref_events.len(), "chunk {chunk}: event count");
+        for (&(i, a), &(j, b)) in ref_events.iter().zip(&events) {
+            assert_eq!(i, j, "chunk {chunk}: event position");
+            assert_eq!(event_bits(a), event_bits(b), "chunk {chunk}: event at {i}");
+        }
+        assert_eq!(reference.last_score().to_bits(), scanned.last_score().to_bits());
+        assert_eq!(
+            reference.last_sharpness().to_bits(),
+            scanned.last_sharpness().to_bits()
+        );
+        assert_eq!(reference.is_tracking(), scanned.is_tracking());
+        assert_eq!(reference.primed(), scanned.primed());
+        ref_events
+    }
+
+    /// Pseudo-noise around 0.5, then two clean preambles separated by
+    /// noise — two lock candidates, the second needing a full refill when
+    /// the first is re-armed.
+    fn two_preamble_stream(template: &[f64]) -> Vec<f64> {
+        let mut x = 0.29;
+        let mut noise = |n: usize| -> Vec<f64> {
+            (0..n)
+                .map(|_| {
+                    x = (x * 9301.0 + 49297.0) % 1.0;
+                    0.5 + 0.1 * (x - 0.5)
+                })
+                .collect()
+        };
+        let mut stream = noise(203);
+        stream.extend(template.iter().map(|t| 0.5 + 0.2 * t));
+        stream.extend(noise(61));
+        stream.extend(template.iter().map(|t| 0.5 + 0.2 * t));
+        stream.extend(noise(37));
+        stream
+    }
+
+    fn gated(template: &[f64], threshold: f64) -> PreambleSearcher {
+        PreambleSearcher::new(template.to_vec(), threshold).with_shape_gate(1.2, 8)
+    }
+
+    #[test]
+    fn scan_matches_process_for_every_slice_length() {
+        // A 30-tap template (not a multiple of the lane count) so lane
+        // groups straddle the window in every phase.
+        let chips = [1.0, 0.0, 1.0, 0.0, 1.0, 1.0, 0.0, 1.0, 0.0, 0.0];
+        let template = chips_to_template(&chips, 3);
+        let stream = two_preamble_stream(&template);
+        let s0 = gated(&template, 0.7);
+        for chunk in (1..=3 * SCAN_LANES).chain([97, stream.len()]) {
+            let events = assert_scan_matches_process(&s0, &stream, chunk, false);
+            assert!(
+                events.iter().any(|(_, e)| matches!(e, SyncEvent::Locked { .. })),
+                "chunk {chunk}: stream never locked"
+            );
+        }
+    }
+
+    #[test]
+    fn scan_refills_window_after_rearm() {
+        let chips = [1.0, 0.0, 1.0, 0.0, 1.0, 1.0, 0.0, 1.0, 0.0, 0.0];
+        let template = chips_to_template(&chips, 4);
+        let stream = two_preamble_stream(&template);
+        let s0 = gated(&template, 0.7);
+        for chunk in (1..=3 * SCAN_LANES).chain([stream.len()]) {
+            let events = assert_scan_matches_process(&s0, &stream, chunk, true);
+            let locks = events
+                .iter()
+                .filter(|(_, e)| matches!(e, SyncEvent::Locked { .. }))
+                .count();
+            assert_eq!(locks, 2, "chunk {chunk}: {events:?}");
+        }
+    }
+
+    #[test]
+    fn scan_reports_shape_gate_rejection() {
+        // The two-copy collision blend of `shape_gate_rejects_broad_peak`.
+        let chips = [1.0, 0.0, 1.0, 0.0, 1.0, 1.0, 0.0, 1.0, 0.0, 0.0];
+        let template = chips_to_template(&chips, 4);
+        let n = template.len();
+        let offset = n / 3;
+        let mut stream = vec![0.5f64; 43];
+        for i in 0..n + offset {
+            let a = if i < n { template[i] } else { 0.0 };
+            let b = if i >= offset { template[i - offset] } else { 0.0 };
+            stream.push(0.5 + 0.1 * a + 0.1 * b);
+        }
+        stream.extend(vec![0.5; 45]);
+        let s0 = gated(&template, 0.55);
+        for chunk in (1..=3 * SCAN_LANES).chain([stream.len()]) {
+            let events = assert_scan_matches_process(&s0, &stream, chunk, false);
+            assert!(
+                events.iter().any(|(_, e)| matches!(e, SyncEvent::Rejected { .. })),
+                "chunk {chunk}: blend was never rejected: {events:?}"
+            );
+        }
+    }
+
+    #[test]
+    fn scan_keeps_window_through_locked_reset() {
+        // No re-arm after the lock: the searcher's own `reset` keeps the
+        // window, so scoring resumes on the very next sample and the
+        // back-to-back preamble behind it must lock identically.
+        let chips = [1.0, 0.0, 1.0, 0.0, 1.0, 1.0, 0.0, 1.0, 0.0, 0.0];
+        let template = chips_to_template(&chips, 4);
+        let mut stream = test_stream(&template, 21);
+        stream.extend(test_stream(&template, 5));
+        stream.extend(vec![0.5; 13]);
+        let s0 = gated(&template, 0.7);
+        for chunk in (1..=3 * SCAN_LANES).chain([stream.len()]) {
+            let events = assert_scan_matches_process(&s0, &stream, chunk, false);
+            assert!(
+                events.iter().filter(|(_, e)| matches!(e, SyncEvent::Locked { .. })).count() >= 2,
+                "chunk {chunk}: {events:?}"
+            );
+        }
+    }
+
+    #[test]
+    fn scan_of_empty_slice_is_a_no_op() {
+        let template = chips_to_template(&[1.0, 0.0, 1.0, 1.0], 2);
+        let mut s = PreambleSearcher::new(template, 0.7);
+        let (n, ev, peak) = s.scan(&[]);
+        assert_eq!((n, ev), (0, SyncEvent::Searching));
+        assert_eq!(peak, f64::NEG_INFINITY);
     }
 
     #[test]

@@ -206,6 +206,9 @@ mod tests {
             for _ in 0..iters {
                 acc = acc.wrapping_mul(6364136223846793005).wrapping_add(1);
             }
+            // Keeps the optimiser from deleting the spin loop, which would
+            // make the "slow" point as cheap as the rest.
+            std::hint::black_box(acc);
             (std::thread::current().id(), p)
         });
         // Input order preserved regardless of scheduling.

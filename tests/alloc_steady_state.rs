@@ -1,6 +1,7 @@
 //! The tentpole's zero-allocation contract, pinned with a counting
 //! global allocator: after a one-frame warmup, steady-state frames on the
-//! clean-link, faulted-link, and MAC-session paths perform **zero** heap
+//! clean-link, hunting (out-of-range) link, faulted-link, and MAC-session
+//! paths perform **zero** heap
 //! allocations — for both frame engines (per-sample reference and block),
 //! with and without the `trace` feature (this file compiles under both
 //! configs; CI runs it twice).
@@ -83,9 +84,17 @@ fn record_alloc(name: &str, allocs: u64, frames: u64) {
 /// per-sample engine simulates every sample so keep the payload small.
 const STEADY_FRAMES: u64 = 1000;
 
+/// Frames for the hunting scenario: an unlocked frame runs its whole
+/// tail through acquisition, the costliest stage in a debug build.
+const HUNTING_FRAMES: u64 = 200;
+
 fn link_cfg() -> LinkConfig {
+    link_cfg_at(0.5)
+}
+
+fn link_cfg_at(device_dist_m: f64) -> LinkConfig {
     let mut cfg = LinkConfig::default_fd();
-    cfg.geometry.device_dist_m = 0.5;
+    cfg.geometry.device_dist_m = device_dist_m;
     cfg
 }
 
@@ -104,8 +113,12 @@ enum Engine {
 /// returns the allocations counted from the start of frame 1 (i.e.
 /// excluding the warmup frame 0, which may grow every buffer).
 fn steady_state_allocs(engine: Engine, frames: u64, faulted: bool) -> u64 {
+    steady_state_allocs_on(link_cfg(), engine, frames, faulted)
+}
+
+fn steady_state_allocs_on(cfg: LinkConfig, engine: Engine, frames: u64, faulted: bool) -> u64 {
     let mut rng = ChaCha8Rng::seed_from_u64(9);
-    let mut link = FdLink::new(link_cfg(), &mut rng).unwrap();
+    let mut link = FdLink::new(cfg, &mut rng).unwrap();
     let payload: Vec<u8> = (0..32u8).collect();
     let opts = RunOptions::fd_monitor();
     let mut out = FrameOutcome::default();
@@ -171,6 +184,16 @@ fn clean_link_dispatch_is_allocation_free_after_warmup() {
     let n = steady_state_allocs(Engine::Dispatch, STEADY_FRAMES, false);
     record_alloc("clean_link_dispatch", n, STEADY_FRAMES - 1);
     assert_eq!(n, 0, "run_frame_into allocated {n} times in steady state");
+}
+
+#[test]
+fn hunting_link_block_engine_is_allocation_free_after_warmup() {
+    // Out of range: B hunts for the preamble through most frames, so the
+    // block engine's batched acquisition pass runs on nearly every
+    // segment, with the occasional lock and rejection.
+    let n = steady_state_allocs_on(link_cfg_at(2.4), Engine::Block, HUNTING_FRAMES, false);
+    record_alloc("hunting_link_block", n, HUNTING_FRAMES - 1);
+    assert_eq!(n, 0, "hunting block engine allocated {n} times in steady state");
 }
 
 #[test]

@@ -102,6 +102,8 @@ ALLOC_SCENARIOS = {
     "alloc/clean_link_dispatch": 0,
     "alloc/faulted_link_reference": 0,
     "alloc/faulted_link_block": 0,
+    # Out-of-range link: the block engine's batched acquisition pass.
+    "alloc/hunting_link_block": 0,
     "alloc/mac_session": 0,
     # PR-10: second run of a reused CityEngine (tests/city_scale.rs).
     "alloc/city_steady": 0,
