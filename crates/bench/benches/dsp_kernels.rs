@@ -8,7 +8,6 @@ use criterion::{black_box, criterion_group, criterion_main, Criterion, Throughpu
 use fdb_dsp::correlate::ncc;
 use fdb_dsp::crc::{crc16_ccitt, crc32_ieee, crc8};
 use fdb_dsp::envelope::EnvelopeDetector;
-use fdb_dsp::fft::fft_correlate;
 use fdb_dsp::fir::{rrc_taps, Fir};
 use fdb_dsp::line_code::LineCode;
 use fdb_dsp::moving_average::{IntegrateDump, MovingAverage};
@@ -31,13 +30,6 @@ fn bench_fir(c: &mut Criterion) {
                     acc += f.process(black_box(x));
                 }
                 acc
-            })
-        });
-        let mut out = Vec::with_capacity(input.len());
-        g.bench_function(format!("{}tap_block_4096", f.len()), |b| {
-            b.iter(|| {
-                f.process_block_into(black_box(&input), &mut out);
-                out.last().copied()
             })
         });
     }
@@ -127,46 +119,6 @@ fn bench_sync(c: &mut Criterion) {
     let window = template.clone();
     g.bench_function("ncc_320", |b| {
         b.iter(|| ncc(black_box(&window), black_box(&template)))
-    });
-    // Frame-acquisition search: scan a 16 Ki-sample capture for the
-    // 320-sample preamble. The sliding scan is the seed's O(N·M) approach;
-    // fft_correlate is the convolution-theorem replacement. Same template,
-    // same capture, both return the arg-max lag.
-    let capture: Vec<f64> = (0..16_384)
-        .map(|i| {
-            let noise = ((i as f64 * 12.9898).sin() * 43_758.547).fract() * 0.3;
-            if (4_000..4_320).contains(&i) {
-                template[i - 4_000] + noise
-            } else {
-                noise
-            }
-        })
-        .collect();
-    let lags = capture.len() - template.len() + 1;
-    g.throughput(Throughput::Elements(lags as u64));
-    g.bench_function("preamble_sliding_ncc_16k", |b| {
-        b.iter(|| {
-            let mut best = (f64::NEG_INFINITY, 0usize);
-            for lag in 0..lags {
-                let s = ncc(&capture[lag..lag + template.len()], black_box(&template));
-                if s > best.0 {
-                    best = (s, lag);
-                }
-            }
-            best
-        })
-    });
-    g.bench_function("preamble_fft_correlate_16k", |b| {
-        b.iter(|| {
-            let scores = fft_correlate(black_box(&capture), black_box(&template));
-            let mut best = (f64::NEG_INFINITY, 0usize);
-            for (lag, &s) in scores.iter().enumerate() {
-                if s > best.0 {
-                    best = (s, lag);
-                }
-            }
-            best
-        })
     });
     g.bench_function("prbs23_4096bits", |b| {
         let mut p = Prbs::new(PrbsOrder::Prbs23, 7);

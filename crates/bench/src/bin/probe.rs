@@ -55,11 +55,8 @@
 //! (JSON, see `configs/faults/`) to any run mode; fault activations land
 //! in the metrics/summary output. `--validate-trace PATH` parses a trace
 //! JSONL file line-by-line and exits non-zero on the first malformed
-//! line. `--sweep [frames]` is the legacy operating-envelope sweep.
-//!
-//! Every pre-subcommand spelling keeps working as a hidden alias:
-//! `--report sync|link|mac`, `--sync-report`, `--fault-matrix CFGS`, a
-//! bare default invocation (→ `replay`) and `probe N` (→ `--sweep N`).
+//! line. `--sweep [frames]` is the legacy operating-envelope sweep. An
+//! invocation with no subcommand runs `replay`.
 
 use fdb_core::link::{FdLink, FrameRun, LinkConfig, RunOptions};
 use fdb_core::trace::parse_trace_line;
@@ -149,8 +146,7 @@ fn usage() -> ! {
          \x20                    [--stream-trace --trace-out PATH] [--timeout-ms N]\n\
          \x20      probe submit  [--socket PATH] --ping | --recheck N | --stop-service\n\
          \x20      probe --validate-trace PATH\n\
-         \x20      probe --sweep [frames]\n\
-         (legacy aliases: --report sync|link|mac, --sync-report, --fault-matrix CFGS)"
+         \x20      probe --sweep [frames]"
     );
     std::process::exit(2);
 }
@@ -244,21 +240,6 @@ fn parse_args() -> Args {
                 args.recheck = Some(value("--recheck").parse().unwrap_or_else(|_| usage()))
             }
             "--stop-service" => args.stop_service = true,
-            // Legacy aliases (pre-subcommand spellings).
-            "--report" => match value("--report").as_str() {
-                "sync" => args.mode = Some(Mode::Sync),
-                "link" => args.mode = Some(Mode::Link),
-                "mac" => args.mode = Some(Mode::Mac),
-                other => {
-                    eprintln!("unknown report '{other}' (expected sync|link|mac)");
-                    usage()
-                }
-            },
-            "--sync-report" => args.mode = Some(Mode::Sync),
-            "--fault-matrix" => {
-                args.mode = Some(Mode::Matrix);
-                args.matrix_configs = Some(value("--fault-matrix"));
-            }
             "--validate-trace" => {
                 args.mode = Some(Mode::Validate);
                 args.validate_trace = Some(value("--validate-trace"));
@@ -277,11 +258,6 @@ fn parse_args() -> Args {
                 && !cfgs.starts_with('-') =>
             {
                 args.matrix_configs = Some(cfgs.to_string())
-            }
-            // Bare number: legacy `probe N` sweep invocation.
-            n if n.parse::<u32>().is_ok() => {
-                args.mode = Some(Mode::Sweep);
-                args.sweep_frames = n.parse().unwrap();
             }
             _ => usage(),
         }

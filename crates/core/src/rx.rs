@@ -145,12 +145,10 @@ pub struct DataReceiver {
     timing_prefix: Vec<f64>,
     /// Reused by `commit_lock` (was a fresh allocation per lock).
     replay_scratch: Vec<f64>,
-    /// Reused by `acquire_block`/`acquire_run` for the slice run through
-    /// the smoother.
+    /// Reused by `acquire_run` for the slice run through the smoother.
     acq_smoothed: Vec<f64>,
-    /// Scratch smoother snapshot for `acquire_block`/`acquire_run` —
-    /// `clone_from` of the live smoother each chunk, allocation-free once
-    /// capacities match.
+    /// Scratch smoother snapshot for `acquire_run` — `clone_from` of the
+    /// live smoother each call, allocation-free once capacities match.
     acq_smoother: MovingAverage,
     /// Reused by `verify_candidate` for the per-chip integration means.
     verify_means: Vec<f64>,
@@ -374,8 +372,8 @@ impl DataReceiver {
     /// Feeds a contiguous slice of envelope samples. Bit-identical to
     /// calling [`Self::push_sample`] once per element: state transitions
     /// are honoured at every sample boundary, but while `Acquiring` the
-    /// samples go through [`Self::push_acquiring`] (FFT screen, then
-    /// lane-batched exact scoring), and while `Receiving` the samples up
+    /// samples go through [`Self::push_acquiring`] (lane-batched exact
+    /// scoring), and while `Receiving` the samples up
     /// to the next chip boundary are accumulated in one run (same
     /// summation order) instead of dispatching per sample.
     pub fn push_slice(&mut self, xs: &[f64]) {
@@ -416,18 +414,13 @@ impl DataReceiver {
     /// on the exact lock sample (the block frame engine schedules B's
     /// feedback epoch from it) feeds whole blocks through here.
     pub(crate) fn push_acquiring(&mut self, xs: &[f64]) -> usize {
+        // `acquire_run` smooths all of its input up front, so feed it one
+        // template length at a time: the samples after a lock are then
+        // left to the receiving path instead of being smoothed for nothing.
+        let run = self.searcher.template_len().max(64);
         let mut i = 0;
         while i < xs.len() && self.state == RxState::Acquiring {
-            let skipped = self.acquire_block(&xs[i..]);
-            if skipped > 0 {
-                i += skipped;
-                continue;
-            }
-            // The screen declined (candidate region ahead, window not
-            // primed, or the remainder is too small to be worth an FFT):
-            // score one template length exactly before re-screening.
-            let run = self.searcher.template_len().max(64).min(xs.len() - i);
-            i += self.acquire_run(&xs[i..i + run]);
+            i += self.acquire_run(&xs[i..xs.len().min(i + run)]);
         }
         i
     }
@@ -440,49 +433,14 @@ impl DataReceiver {
         self.header_accepted
     }
 
-    /// Block acquisition fast path: screens `xs` with the searcher's FFT
-    /// correlator and fast-forwards the receiver over the longest prefix
-    /// that provably produces no sync event, leaving every observable —
-    /// smoother, raw history, window, `sync_peak` — byte-identical to
-    /// having pushed those samples through [`acquire`](Self::acquire) one
-    /// at a time. Returns the number of samples consumed (0 when the
-    /// screen declines, e.g. near a candidate peak).
-    ///
-    /// The smoothed stream handed to the screen comes from a scratch
-    /// snapshot of the live smoother, so screening beyond the eventual skip
-    /// point cannot perturb receiver state; the live smoother and
-    /// raw-history ring are then advanced over exactly the skipped prefix.
-    fn acquire_block(&mut self, xs: &[f64]) -> usize {
-        let m = self.searcher.template_len();
-        if xs.len() < 2 * m || !self.searcher.primed() || self.searcher.is_tracking() {
-            return 0;
-        }
-        self.acq_smoother.clone_from(&self.sync_smoother);
-        let mut smoothed = std::mem::take(&mut self.acq_smoothed);
-        self.acq_smoother.process_block_into(xs, &mut smoothed);
-        let (skip, peak) = self.searcher.fast_forward(&smoothed);
-        self.acq_smoothed = smoothed;
-        if skip == 0 {
-            return 0;
-        }
-        for &env in &xs[..skip] {
-            self.history.push_evict(env);
-            self.sync_smoother.process(env);
-        }
-        self.samples_seen += skip;
-        self.sync_peak = self.sync_peak.max(peak);
-        skip
-    }
-
     /// Exact acquisition over `xs`, window positions scored in lane
     /// batches by [`PreambleSearcher::scan`]; stops right after the sample
     /// at which the state leaves `Acquiring` and returns the samples
-    /// consumed. Like [`acquire_block`](Self::acquire_block) it smooths
-    /// through a snapshot of the live smoother (the smoother never reacts
-    /// to sync events, so the smoothed stream stays valid across them),
-    /// then advances the live smoother and raw history over each consumed
-    /// prefix before the prefix's event is handled — the order
-    /// [`acquire`](Self::acquire) keeps per sample.
+    /// consumed. It smooths through a snapshot of the live smoother (the
+    /// smoother never reacts to sync events, so the smoothed stream stays
+    /// valid across them), then advances the live smoother and raw history
+    /// over each consumed prefix before the prefix's event is handled —
+    /// the order [`acquire`](Self::acquire) keeps per sample.
     fn acquire_run(&mut self, xs: &[f64]) -> usize {
         self.acq_smoother.clone_from(&self.sync_smoother);
         let mut smoothed = std::mem::take(&mut self.acq_smoothed);
@@ -1108,9 +1066,8 @@ mod tests {
 
     #[test]
     fn push_slice_matches_through_long_noise_hunt() {
-        // The workload the FFT acquisition screen exists for: a long
-        // pseudo-noise listening region before the frame. Every slice size
-        // — including ones that keep the screen gated — must stay
+        // A long pseudo-noise listening region before the frame, as an
+        // out-of-range link sees while it hunts. Every slice size must stay
         // byte-identical to the per-sample path through the hunt, the
         // lock, and the decode.
         let cfg = cfg();

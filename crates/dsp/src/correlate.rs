@@ -7,7 +7,6 @@
 //! large DC ambient level and the unknown modulation depth — exactly the two
 //! nuisance parameters of an envelope-detected backscatter link.
 
-use crate::fft::{fft_correlate_into, CorrelateScratch};
 use crate::ringbuf::RingBuf;
 
 /// Zero-mean normalised cross-correlation of `window` against `template`.
@@ -38,14 +37,6 @@ pub fn ncc(window: &[f64], template: &[f64]) -> f64 {
         num / den
     }
 }
-
-/// Safety margin around the detection threshold when screening with
-/// [`fft_correlate`]: the FFT scores match the exact streaming scores to
-/// ≤ 1e-9 (asserted by the `fft` module's conformance tests), so three
-/// orders of magnitude of slack makes a missed crossing implausible — and
-/// [`PreambleSearcher::fast_forward`] still re-derives the exact score for
-/// any candidate the screen leaves in doubt.
-const SCREEN_EPS: f64 = 1e-6;
 
 /// Consecutive window positions [`PreambleSearcher::scan`] scores at once.
 /// Each lane is an independent accumulator chain, so the lanes fill the
@@ -129,15 +120,9 @@ pub struct PreambleSearcher {
     /// sidelobe estimate.
     peak_guard: usize,
     last_sharpness: f64,
-    /// Reused by [`fast_forward`](PreambleSearcher::fast_forward) and
-    /// [`scan`](PreambleSearcher::scan) for the window-prefix + block
-    /// sequence they score.
+    /// Reused by [`scan`](PreambleSearcher::scan) for the window-prefix +
+    /// block sequence it scores.
     seq_scratch: Vec<f64>,
-    /// FFT workspace for the screen — owned by the searcher so steady-state
-    /// acquisition scans perform no heap allocations.
-    fft_scratch: CorrelateScratch,
-    /// Screen score output buffer, reused across `fast_forward` calls.
-    fft_scores: Vec<f64>,
 }
 
 impl PreambleSearcher {
@@ -164,8 +149,6 @@ impl PreambleSearcher {
             peak_guard,
             last_sharpness: f64::INFINITY,
             seq_scratch: Vec::new(),
-            fft_scratch: CorrelateScratch::new(),
-            fft_scores: Vec::new(),
         }
     }
 
@@ -418,93 +401,6 @@ impl PreambleSearcher {
         }
     }
 
-    /// `true` while the searcher is tracking a super-threshold candidate
-    /// peak (a stage-1 declaration is pending).
-    pub fn is_tracking(&self) -> bool {
-        self.rising
-    }
-
-    /// `true` once the correlation window is fully populated.
-    pub fn primed(&self) -> bool {
-        self.window.is_full()
-    }
-
-    /// Fast-forwards the searcher over the longest prefix of `smoothed`
-    /// that provably yields only sub-threshold [`SyncEvent::Searching`]
-    /// outcomes, using [`fft_correlate`] as an O(N log N) screen instead
-    /// of the O(N·M) per-sample sliding correlation.
-    ///
-    /// Returns `(skipped, peak)`: the number of leading samples consumed
-    /// and the exact maximum correlation score over them
-    /// (`f64::NEG_INFINITY` when nothing was skipped). After the call the
-    /// searcher behaves byte-identically to having fed those samples
-    /// through [`process`](PreambleSearcher::process) one at a time: the
-    /// sample window and `last_score` are advanced exactly, and the skip
-    /// always stops at least one template length before any possible
-    /// threshold crossing (and before the end of `smoothed`) so that the
-    /// per-sample calls that must follow refill the score-trajectory ring
-    /// before the peak-shape gate can read it.
-    ///
-    /// The screen is conservative: positions whose FFT score comes within
-    /// [`SCREEN_EPS`] of the threshold are treated as crossings, and the
-    /// exact streaming score is re-derived (via [`ncc`], to which it is
-    /// bit-identical) for every position that could hold the skipped
-    /// region's maximum. If an exact score in the "dead" region turns out
-    /// to reach the threshold anyway, the call refuses to skip.
-    pub fn fast_forward(&mut self, smoothed: &[f64]) -> (usize, f64) {
-        let m = self.template.len();
-        if self.rising || m < 2 || !self.window.is_full() || smoothed.len() < 2 * m {
-            return (0, f64::NEG_INFINITY);
-        }
-        // The window holds exactly `m` samples; dropping the oldest one
-        // makes `seq[i..i + m]` the window ending at `smoothed[i]`.
-        self.seq_scratch.clear();
-        let (s1, s2) = self.window.as_slices();
-        self.seq_scratch.extend(s1.iter().chain(s2.iter()).skip(1));
-        self.seq_scratch.extend_from_slice(smoothed);
-        fft_correlate_into(
-            &self.seq_scratch,
-            &self.template,
-            &mut self.fft_scratch,
-            &mut self.fft_scores,
-        );
-        let scores = &self.fft_scores;
-        debug_assert_eq!(scores.len(), smoothed.len());
-        let arm = self.threshold - SCREEN_EPS;
-        let skip = match scores.iter().position(|&s| s >= arm) {
-            Some(j) => (j + 1).saturating_sub(m),
-            None => smoothed.len() - m,
-        };
-        if skip == 0 {
-            return (0, f64::NEG_INFINITY);
-        }
-        // Exact maximum over the skipped region: exact and FFT scores
-        // agree within SCREEN_EPS, so only positions within twice that of
-        // the FFT maximum can hold the exact maximum.
-        let mut fft_max = f64::NEG_INFINITY;
-        for &s in &scores[..skip] {
-            fft_max = fft_max.max(s);
-        }
-        let mut peak = f64::NEG_INFINITY;
-        for (i, &s) in scores[..skip].iter().enumerate() {
-            if s >= fft_max - 2.0 * SCREEN_EPS {
-                peak = peak.max(ncc(&self.seq_scratch[i..i + m], &self.template));
-            }
-        }
-        if peak >= self.threshold {
-            // Screen bound violated: an exact score crosses inside the
-            // region the FFT called dead. Decline and let the per-sample
-            // path adjudicate it.
-            return (0, f64::NEG_INFINITY);
-        }
-        let last = ncc(&self.seq_scratch[skip - 1..skip - 1 + m], &self.template);
-        for i in 0..skip {
-            self.window.push_evict(self.seq_scratch[m - 1 + i]);
-        }
-        self.last_score = last;
-        (skip, peak)
-    }
-
     /// Returns to the hunting state (also called internally after a lock).
     pub fn reset(&mut self) {
         self.best = 0.0;
@@ -620,112 +516,6 @@ mod tests {
                 panic!("false lock at score {score}");
             }
         }
-    }
-
-    /// Drives `screened` through `stream` using `fast_forward` wherever it
-    /// will take samples (per-sample otherwise), mirroring what a block
-    /// receiver does, and asserts every observable against a pure
-    /// per-sample `reference` fed the same stream.
-    fn assert_fast_forward_matches(template: &[f64], threshold: f64, stream: &[f64]) {
-        let mut reference = PreambleSearcher::new(template.to_vec(), threshold);
-        let mut screened = reference.clone();
-        let m = template.len();
-
-        let mut ref_events = Vec::new();
-        let mut ref_peak = f64::NEG_INFINITY;
-        for &x in stream {
-            let ev = reference.process(x);
-            ref_peak = ref_peak.max(reference.last_score());
-            if ev != SyncEvent::Searching {
-                ref_events.push(ev);
-            }
-        }
-
-        let mut scr_events = Vec::new();
-        let mut scr_peak = f64::NEG_INFINITY;
-        let mut i = 0;
-        while i < stream.len() {
-            let (skip, peak) = screened.fast_forward(&stream[i..]);
-            if skip > 0 {
-                scr_peak = scr_peak.max(peak);
-                i += skip;
-                continue;
-            }
-            // Dead prefix exhausted: step one template length per-sample,
-            // as the block receiver does around a candidate region.
-            let run = m.min(stream.len() - i);
-            for &x in &stream[i..i + run] {
-                let ev = screened.process(x);
-                scr_peak = scr_peak.max(screened.last_score());
-                if ev != SyncEvent::Searching {
-                    scr_events.push(ev);
-                }
-            }
-            i += run;
-        }
-
-        assert_eq!(ref_events.len(), scr_events.len(), "event counts differ");
-        for (a, b) in ref_events.iter().zip(&scr_events) {
-            match (a, b) {
-                (
-                    SyncEvent::Locked { lag, score, sharpness },
-                    SyncEvent::Locked { lag: l2, score: s2, sharpness: h2 },
-                ) => {
-                    assert_eq!(lag, l2);
-                    assert_eq!(score.to_bits(), s2.to_bits());
-                    assert_eq!(sharpness.to_bits(), h2.to_bits());
-                }
-                (a, b) => assert_eq!(a, b),
-            }
-        }
-        assert_eq!(
-            ref_peak.to_bits(),
-            scr_peak.to_bits(),
-            "running max of last_score diverged"
-        );
-        assert_eq!(
-            reference.last_score().to_bits(),
-            screened.last_score().to_bits()
-        );
-    }
-
-    #[test]
-    fn fast_forward_is_byte_identical_over_noise_then_preamble() {
-        let chips = [1.0, 0.0, 1.0, 0.0, 1.0, 1.0, 0.0, 1.0, 0.0, 0.0];
-        let template = chips_to_template(&chips, 4);
-        // Long pseudo-noise hunt, the preamble, then trailing noise.
-        let mut x = 0.37;
-        let mut noise = |n: usize| -> Vec<f64> {
-            (0..n)
-                .map(|_| {
-                    x = (x * 9301.0 + 49297.0) % 1.0;
-                    0.5 + 0.12 * (x - 0.5)
-                })
-                .collect()
-        };
-        let mut stream = noise(5000);
-        stream.extend(template.iter().map(|t| 0.5 + 0.2 * t));
-        stream.extend(noise(500));
-        assert_fast_forward_matches(&template, 0.7, &stream);
-    }
-
-    #[test]
-    fn fast_forward_skips_flat_and_reports_exact_peak() {
-        let template = chips_to_template(&[1.0, 0.0, 1.0, 1.0, 0.0, 0.0, 1.0, 0.0], 4);
-        let m = template.len();
-        let mut s = PreambleSearcher::new(template.clone(), 0.8);
-        // Prime the window with idle carrier.
-        for _ in 0..m {
-            s.process(0.5);
-        }
-        let block: Vec<f64> = (0..4096)
-            .map(|i| 0.5 + 0.05 * ((i as f64) * 0.7).sin())
-            .collect();
-        let (skip, peak) = s.fast_forward(&block);
-        assert_eq!(skip, block.len() - m, "should skip all but the tail");
-        assert!(peak < 0.8, "sub-threshold region, got {peak}");
-        assert!(peak.is_finite());
-        assert!(!s.is_tracking());
     }
 
     /// A sharp-autocorrelation chip pattern with its envelope rendering.
@@ -987,8 +777,8 @@ mod tests {
             reference.last_sharpness().to_bits(),
             scanned.last_sharpness().to_bits()
         );
-        assert_eq!(reference.is_tracking(), scanned.is_tracking());
-        assert_eq!(reference.primed(), scanned.primed());
+        assert_eq!(reference.rising, scanned.rising);
+        assert_eq!(reference.window.is_full(), scanned.window.is_full());
         ref_events
     }
 
@@ -1013,8 +803,30 @@ mod tests {
         stream
     }
 
+    /// A 5000-sample pseudo-noise hunt, one clean preamble, then 500
+    /// samples of trailing noise.
+    fn long_hunt_stream(template: &[f64]) -> Vec<f64> {
+        let mut x = 0.37;
+        let mut noise = |n: usize| -> Vec<f64> {
+            (0..n)
+                .map(|_| {
+                    x = (x * 9301.0 + 49297.0) % 1.0;
+                    0.5 + 0.12 * (x - 0.5)
+                })
+                .collect()
+        };
+        let mut stream = noise(5000);
+        stream.extend(template.iter().map(|t| 0.5 + 0.2 * t));
+        stream.extend(noise(500));
+        stream
+    }
+
     fn gated(template: &[f64], threshold: f64) -> PreambleSearcher {
         PreambleSearcher::new(template.to_vec(), threshold).with_shape_gate(1.2, 8)
+    }
+
+    fn has_lock(events: &[(usize, SyncEvent)]) -> bool {
+        events.iter().any(|(_, e)| matches!(e, SyncEvent::Locked { .. }))
     }
 
     #[test]
@@ -1027,11 +839,34 @@ mod tests {
         let s0 = gated(&template, 0.7);
         for chunk in (1..=3 * SCAN_LANES).chain([97, stream.len()]) {
             let events = assert_scan_matches_process(&s0, &stream, chunk, false);
-            assert!(
-                events.iter().any(|(_, e)| matches!(e, SyncEvent::Locked { .. })),
-                "chunk {chunk}: stream never locked"
-            );
+            assert!(has_lock(&events), "chunk {chunk}: stream never locked");
         }
+
+        // A long noise hunt before the preamble, ungated.
+        let template = chips_to_template(&chips, 4);
+        let stream = long_hunt_stream(&template);
+        let s0 = PreambleSearcher::new(template, 0.7);
+        for chunk in (1..=3 * SCAN_LANES).chain([97, 4096, stream.len()]) {
+            let events = assert_scan_matches_process(&s0, &stream, chunk, false);
+            assert!(has_lock(&events), "chunk {chunk}: long hunt never locked");
+        }
+
+        // Idle carrier fills the window, then a slow sub-threshold ripple:
+        // no event anywhere, and the reported peak is the exact (finite)
+        // maximum score.
+        let template = chips_to_template(&[1.0, 0.0, 1.0, 1.0, 0.0, 0.0, 1.0, 0.0], 4);
+        let mut stream = vec![0.5; template.len()];
+        stream.extend((0..4096).map(|i| 0.5 + 0.05 * ((i as f64) * 0.7).sin()));
+        let s0 = PreambleSearcher::new(template, 0.8);
+        for chunk in (1..=3 * SCAN_LANES).chain([97, stream.len()]) {
+            let events = assert_scan_matches_process(&s0, &stream, chunk, false);
+            assert!(events.is_empty(), "chunk {chunk}: {events:?}");
+        }
+        let mut s = s0.clone();
+        let (n, ev, peak) = s.scan(&stream);
+        assert_eq!((n, ev), (stream.len(), SyncEvent::Searching));
+        assert!(peak.is_finite() && peak < 0.8, "sub-threshold region, got {peak}");
+        assert!(!s.rising);
     }
 
     #[test]

@@ -56,20 +56,6 @@ impl Fir {
         acc
     }
 
-    /// Filters a whole block, producing one output per input.
-    pub fn process_block(&mut self, xs: &[Iq]) -> Vec<Iq> {
-        let mut out = Vec::with_capacity(xs.len());
-        self.process_block_into(xs, &mut out);
-        out
-    }
-
-    /// Filters a whole block into a caller-owned buffer (cleared first) —
-    /// the allocation-free block entry point.
-    pub fn process_block_into(&mut self, xs: &[Iq], out: &mut Vec<Iq>) {
-        out.clear();
-        out.extend(xs.iter().map(|&x| self.process(x)));
-    }
-
     /// Resets the internal delay line to zeros.
     pub fn reset(&mut self) {
         self.delay.fill(Iq::ZERO);
@@ -106,12 +92,6 @@ impl FirC {
             acc += s * t;
         }
         acc
-    }
-
-    /// Filters a whole block into a caller-owned buffer (cleared first).
-    pub fn process_block_into(&mut self, xs: &[Iq], out: &mut Vec<Iq>) {
-        out.clear();
-        out.extend(xs.iter().map(|&x| self.process(x)));
     }
 
     /// Resets the internal delay line to zeros.
@@ -194,7 +174,7 @@ mod tests {
         // h = [0, 1] delays by one sample.
         let mut f = Fir::new(vec![0.0, 1.0]);
         let xs: Vec<Iq> = (1..=5).map(|i| Iq::real(i as f64)).collect();
-        let ys = f.process_block(&xs);
+        let ys: Vec<Iq> = xs.iter().map(|&x| f.process(x)).collect();
         assert_eq!(ys[0], Iq::ZERO);
         for i in 1..5 {
             assert_eq!(ys[i], xs[i - 1]);
@@ -207,7 +187,7 @@ mod tests {
         let mut f = Fir::new(taps.clone());
         let mut input = vec![Iq::ZERO; taps.len()];
         input[0] = Iq::ONE;
-        let ys = f.process_block(&input);
+        let ys: Vec<Iq> = input.iter().map(|&x| f.process(x)).collect();
         for (y, t) in ys.iter().zip(taps.iter()) {
             assert!((y.re - t).abs() < 1e-12);
             assert!(y.im.abs() < 1e-12);
@@ -277,19 +257,6 @@ mod tests {
             }
             assert_eq!(y, acc, "sample {i}");
         }
-    }
-
-    #[test]
-    fn process_block_into_reuses_buffer() {
-        let mut f = Fir::new(boxcar_taps(3));
-        let xs: Vec<Iq> = (0..8).map(|i| Iq::real(i as f64)).collect();
-        let mut g = f.clone();
-        let mut out = Vec::new();
-        f.process_block_into(&xs, &mut out);
-        assert_eq!(out, g.process_block(&xs));
-        // A second call clears before refilling.
-        f.process_block_into(&xs[..2], &mut out);
-        assert_eq!(out.len(), 2);
     }
 
     #[test]

@@ -22,7 +22,6 @@
 //! | [`moving_average`] | O(1) sliding-window mean |
 //! | [`envelope`] | square-law envelope detector chain |
 //! | [`correlate`] | normalised correlation and preamble search |
-//! | [`fft`] | radix-2 FFT and FFT-based correlation scans |
 //! | [`prbs`] | LFSR pseudo-random binary sequences |
 //! | [`crc`] | CRC-8 / CRC-16-CCITT / CRC-32 |
 //! | [`fec`] | repetition code, Hamming(7,4), block interleaver |
@@ -41,7 +40,6 @@ pub mod correlate;
 pub mod crc;
 pub mod envelope;
 pub mod fec;
-pub mod fft;
 pub mod fir;
 pub mod iir;
 pub mod line_code;

@@ -24,9 +24,15 @@
 //! `Done` of the run that populated it.
 
 use serde::{Deserialize, Serialize, Value};
-use std::io::{BufRead, Write};
+use std::io::{BufRead, Read, Write};
 
 use fdb_sim::JobSpec;
+
+/// Longest request line the service buffers, newline included. The
+/// largest bundled job (a matrix over the three shipped link configs)
+/// serialises to under 16 KiB, so 1 MiB leaves ample headroom while
+/// bounding what any socket peer can make a connection hold.
+pub const MAX_REQUEST_LINE: usize = 1 << 20;
 
 /// A client-to-service request (one JSON line).
 #[derive(Debug, Clone, Serialize, Deserialize)]
@@ -176,22 +182,47 @@ pub fn write_line<T: Serialize, W: Write>(w: &mut W, msg: &T) -> std::io::Result
     w.flush()
 }
 
-/// Reads one protocol line and parses it; `Ok(None)` on clean EOF.
+/// Reads one protocol line and parses it; `Ok(None)` on clean EOF. A
+/// malformed line fails with [`ErrorKind::InvalidData`](std::io::ErrorKind)
+/// after being consumed, so the stream stays in sync.
 pub fn read_line<T: Deserialize, R: BufRead>(r: &mut R) -> std::io::Result<Option<T>> {
-    let mut line = String::new();
+    read_line_within(r, usize::MAX)
+}
+
+/// [`read_line`] for a [`Request`], buffering at most
+/// [`MAX_REQUEST_LINE`] bytes. A longer line fails with
+/// [`ErrorKind::InvalidInput`](std::io::ErrorKind) and leaves the rest of
+/// it unread, so the caller must drop the connection.
+pub fn read_request<R: BufRead>(r: &mut R) -> std::io::Result<Option<Request>> {
+    read_line_within(r, MAX_REQUEST_LINE)
+}
+
+fn read_line_within<T: Deserialize, R: BufRead>(
+    r: &mut R,
+    limit: usize,
+) -> std::io::Result<Option<T>> {
+    use std::io::{Error, ErrorKind};
+    let mut line = Vec::new();
     loop {
         line.clear();
-        if r.read_line(&mut line)? == 0 {
+        let n = r.by_ref().take(limit as u64).read_until(b'\n', &mut line)?;
+        if n == 0 {
             return Ok(None);
         }
-        if line.trim().is_empty() {
+        if n == limit && line.last() != Some(&b'\n') {
+            return Err(Error::new(
+                ErrorKind::InvalidInput,
+                format!("request line exceeds {limit} bytes"),
+            ));
+        }
+        let text = std::str::from_utf8(&line)
+            .map_err(|e| Error::new(ErrorKind::InvalidData, e.to_string()))?;
+        if text.trim().is_empty() {
             continue; // tolerate blank keep-alive lines
         }
-        return serde_json::from_str(line.trim_end())
+        return serde_json::from_str(text.trim_end())
             .map(Some)
-            .map_err(|e| {
-                std::io::Error::new(std::io::ErrorKind::InvalidData, e.to_string())
-            });
+            .map_err(|e| Error::new(ErrorKind::InvalidData, e.to_string()));
     }
 }
 
@@ -260,5 +291,21 @@ mod tests {
         assert!(matches!(a, Some(Request::Ping)));
         assert!(matches!(b, Some(Request::Cancel { id: 1 })));
         assert!(c.is_none());
+    }
+
+    #[test]
+    fn request_lines_are_capped() {
+        // A line of exactly the cap (newline included) still parses.
+        let mut line = b"\"Ping\"".to_vec();
+        line.resize(MAX_REQUEST_LINE - 1, b' ');
+        line.push(b'\n');
+        let req = read_request(&mut &line[..]).unwrap();
+        assert!(matches!(req, Some(Request::Ping)));
+        // One byte more is refused without buffering past the cap.
+        line.insert(0, b' ');
+        let mut r = &line[..];
+        let err = read_request(&mut r).unwrap_err();
+        assert_eq!(err.kind(), std::io::ErrorKind::InvalidInput);
+        assert_eq!(r.len(), 1, "read past the cap");
     }
 }

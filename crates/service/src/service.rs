@@ -415,7 +415,7 @@ fn serve_connection(
     };
     let mut reader = reader;
     loop {
-        let req: Option<Request> = match crate::protocol::read_line(&mut reader) {
+        let req = match crate::protocol::read_request(&mut reader) {
             Ok(req) => req,
             Err(e) if e.kind() == std::io::ErrorKind::InvalidData => {
                 // Malformed line: reject it and keep the connection (the
@@ -424,6 +424,14 @@ fn serve_connection(
                     reason: format!("unreadable request: {e}"),
                 });
                 continue;
+            }
+            Err(e) if e.kind() == std::io::ErrorKind::InvalidInput => {
+                // Over-cap line: its tail is still unread, so the stream
+                // cannot be resynchronised. Refuse it and hang up.
+                emit(Response::Rejected {
+                    reason: format!("unreadable request: {e}"),
+                });
+                break;
             }
             Err(_) => break,
         };

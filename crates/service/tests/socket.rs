@@ -245,3 +245,53 @@ fn invalid_submission_is_rejected_inline() {
         .unwrap_or_else(|_| panic!("service still shared"))
         .shutdown();
 }
+
+/// A request line longer than the protocol cap is refused with `Rejected`
+/// and its connection closed, without the service buffering past the
+/// cap; other clients are still served.
+#[test]
+fn over_cap_request_line_is_rejected_and_service_stays_up() {
+    use fdb_service::protocol::MAX_REQUEST_LINE;
+    use std::io::{BufRead, BufReader, Write};
+    use std::os::unix::net::UnixStream;
+
+    let dir = scratch("cap");
+    let socket = dir.join("service.sock");
+    let service = Arc::new(
+        Service::start(ServiceConfig::new(dir.join("cache"))).expect("service starts"),
+    );
+    let serve = {
+        let service = Arc::clone(&service);
+        let socket = socket.clone();
+        std::thread::spawn(move || serve_unix(service, &socket).expect("serve loop"))
+    };
+    drop(connect_with_retry(&socket));
+
+    let mut hostile = UnixStream::connect(&socket).unwrap();
+    // The service stops reading at the cap and may hang up before the
+    // last byte is accepted, so a failed write is expected here.
+    let _ = hostile.write_all(&vec![b'x'; MAX_REQUEST_LINE + 1]);
+    let mut reader = BufReader::new(hostile);
+    let mut line = String::new();
+    reader.read_line(&mut line).unwrap();
+    let resp: Response = serde_json::from_str(line.trim_end()).unwrap();
+    match resp {
+        Response::Rejected { reason } => assert!(reason.contains("exceeds"), "{reason}"),
+        other => panic!("expected Rejected, got {other:?}"),
+    }
+    // The connection is closed after the refusal (EOF, or a reset for the
+    // unread tail).
+    line.clear();
+    assert!(matches!(reader.read_line(&mut line), Ok(0) | Err(_)), "got {line:?}");
+
+    let mut client = connect_with_retry(&socket);
+    let (_, _, cached) = submit(&mut client, link_job(2, 3), false);
+    assert!(!cached);
+
+    client.send(&Request::Shutdown).unwrap();
+    let _ = client.recv();
+    serve.join().expect("serve thread");
+    Arc::try_unwrap(service)
+        .unwrap_or_else(|_| panic!("service still shared"))
+        .shutdown();
+}

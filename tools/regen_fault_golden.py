@@ -25,7 +25,7 @@ FRAMES = "6"
 def regen(plan: str) -> None:
     cmd = [
         "cargo", "run", "--release", "-q", "-p", "fdb-bench", "--bin", "probe", "--",
-        "--report", "link",
+        "link",
         "--config", "configs/default_link.json",
         "--faults", f"configs/faults/{plan}.json",
         "--frames", FRAMES,

@@ -24,7 +24,7 @@ SCENARIOS = ["drift_ramp"]
 def regen(name: str) -> None:
     cmd = [
         "cargo", "run", "--release", "-q", "-p", "fdb-bench", "--bin", "probe", "--",
-        "--report", "mac",
+        "mac",
         "--config", f"configs/scenarios/{name}.json",
     ]
     out = subprocess.run(cmd, cwd=ROOT, check=True, capture_output=True, text=True)
