@@ -26,7 +26,7 @@ pub mod tv;
 
 pub use cw::CwSource;
 pub use ofdm::OfdmBurstySource;
-pub use power::gamma_unit_mean;
+pub use power::UnitGamma;
 pub use recorded::RecordedSource;
 pub use tv::TvSource;
 
@@ -68,11 +68,9 @@ pub enum Ambient {
     Cw(CwSource),
     /// TV-like shaped source (field-accurate, narrowband).
     Tv(TvSource),
-    /// Wideband TV via Gamma pre-averaging: power-domain only.
-    TvWideband {
-        /// Gamma shape factor (bandwidth oversize).
-        k_factor: f64,
-    },
+    /// Wideband TV via Gamma pre-averaging: power-domain only. The
+    /// sampler's shape is the bandwidth oversize factor `k`.
+    TvWideband(UnitGamma),
     /// Bursty OFDM-like source.
     Ofdm(OfdmBurstySource),
     /// Replay of a recorded buffer.
@@ -87,9 +85,9 @@ impl Ambient {
         match cfg {
             AmbientConfig::Cw => Ambient::Cw(CwSource::new()),
             AmbientConfig::Tv { sps } => Ambient::Tv(TvSource::new(sps, seed)),
-            AmbientConfig::TvWideband { k_factor } => Ambient::TvWideband {
-                k_factor: k_factor.max(1.0),
-            },
+            AmbientConfig::TvWideband { k_factor } => {
+                Ambient::TvWideband(UnitGamma::new(k_factor.max(1.0)))
+            }
             AmbientConfig::OfdmBursty {
                 duty_cycle,
                 burst_len,
@@ -108,9 +106,7 @@ impl Ambient {
         match self {
             Ambient::Cw(s) => s.next_sample(),
             Ambient::Tv(s) => s.next_sample(),
-            Ambient::TvWideband { k_factor } => {
-                Iq::real(power::gamma_unit_mean(rng, *k_factor).sqrt())
-            }
+            Ambient::TvWideband(g) => Iq::real(g.sample(rng).sqrt()),
             Ambient::Ofdm(s) => s.next_sample(rng),
             Ambient::Recorded(s) => s.next_sample(),
         }
@@ -123,7 +119,7 @@ impl Ambient {
         match self {
             Ambient::Cw(s) => s.next_sample().norm_sq(),
             Ambient::Tv(s) => s.next_sample().norm_sq(),
-            Ambient::TvWideband { k_factor } => power::gamma_unit_mean(rng, *k_factor),
+            Ambient::TvWideband(g) => g.sample(rng),
             Ambient::Ofdm(s) => s.next_sample(rng).norm_sq(),
             Ambient::Recorded(s) => s.next_sample().norm_sq(),
         }
@@ -134,7 +130,7 @@ impl Ambient {
         match self {
             Ambient::Cw(_) => "cw",
             Ambient::Tv(_) => "tv",
-            Ambient::TvWideband { .. } => "tv-wideband",
+            Ambient::TvWideband(_) => "tv-wideband",
             Ambient::Ofdm(_) => "ofdm-bursty",
             Ambient::Recorded(_) => "recorded",
         }
@@ -144,6 +140,7 @@ impl Ambient {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::power::closed_form;
     use rand::SeedableRng;
     use rand_chacha::ChaCha8Rng;
 
@@ -199,6 +196,25 @@ mod tests {
         );
         assert!(v_cw < 1e-9, "CW envelope must be constant, var {v_cw}");
         assert!(v_tv > v_cw && v_tv < v_ofdm, "ordering: {v_cw} {v_tv} {v_ofdm}");
+    }
+
+    #[test]
+    fn tv_wideband_draws_are_bit_identical_to_gamma_unit_mean() {
+        // 0.5 (boost path) and 1e-9 (raised to the 1e-3 floor) only reach
+        // the sampler hand-built: `from_config` floors `k_factor` at 1.
+        for &k in &[0.5, 1.0, 4.0, 300.0, 1e-9] {
+            let mut src = Ambient::TvWideband(UnitGamma::new(k));
+            let mut a = ChaCha8Rng::seed_from_u64(76);
+            let mut b = ChaCha8Rng::seed_from_u64(76);
+            for _ in 0..5_000 {
+                let p = src.next_power(&mut a);
+                let want = closed_form::gamma_unit_mean(&mut b, k);
+                assert_eq!(p.to_bits(), want.to_bits(), "k {k}");
+                let e = src.next_sample(&mut a);
+                let want = closed_form::gamma_unit_mean(&mut b, k).sqrt();
+                assert_eq!((e.re.to_bits(), e.im.to_bits()), (want.to_bits(), 0));
+            }
+        }
     }
 
     #[test]

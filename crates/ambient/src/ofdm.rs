@@ -8,6 +8,7 @@
 //! with OFF gaps sized to hit a configured duty cycle, with the active
 //! amplitude scaled so the long-run mean power is 1.
 
+use crate::power::gaussian;
 use fdb_dsp::Iq;
 use rand::Rng;
 use serde::{Deserialize, Serialize};
@@ -85,12 +86,6 @@ impl OfdmBurstySource {
             Iq::ZERO
         }
     }
-}
-
-fn gaussian<R: Rng + ?Sized>(rng: &mut R) -> f64 {
-    let u1: f64 = rng.gen_range(f64::MIN_POSITIVE..1.0);
-    let u2: f64 = rng.gen_range(0.0..1.0);
-    (-2.0 * u1.ln()).sqrt() * (2.0 * std::f64::consts::PI * u2).cos()
 }
 
 #[cfg(test)]

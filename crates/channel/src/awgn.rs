@@ -5,11 +5,10 @@
 //! envelope-detection receivers in this stack are wideband, so the relevant
 //! noise power is `kTB·F` over the detector bandwidth.
 
-use crate::randcn;
+use crate::randn;
 use fdb_dsp::sample::{dbm_to_watts, watts_to_dbm};
 use fdb_dsp::Iq;
 use rand::Rng;
-use serde::{Deserialize, Serialize};
 
 /// Boltzmann constant (J/K).
 pub const BOLTZMANN: f64 = 1.380_649e-23;
@@ -26,36 +25,40 @@ pub fn noise_floor_dbm(bandwidth_hz: f64, nf_db: f64) -> f64 {
 }
 
 /// A complex AWGN source with fixed total noise power (watts).
-#[derive(Debug, Clone, Copy, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy)]
 pub struct Awgn {
     power_w: f64,
+    /// Per-component standard deviation, `sqrt(power_w / 2)` — the scale
+    /// [`crate::randcn`] would compute on every draw.
+    sigma: f64,
 }
 
 impl Awgn {
+    fn with_power(power_w: f64) -> Self {
+        Awgn {
+            power_w,
+            sigma: (power_w.max(0.0) / 2.0).sqrt(),
+        }
+    }
+
     /// Creates a source with the given total noise power in watts.
     pub fn from_power_watts(power_w: f64) -> Self {
-        Awgn {
-            power_w: power_w.max(0.0),
-        }
+        Self::with_power(power_w.max(0.0))
     }
 
     /// Creates a source from a noise floor in dBm.
     pub fn from_dbm(dbm: f64) -> Self {
-        Awgn {
-            power_w: dbm_to_watts(dbm),
-        }
+        Self::with_power(dbm_to_watts(dbm))
     }
 
     /// Creates a source from physical parameters at 290 K.
     pub fn thermal(bandwidth_hz: f64, nf_db: f64) -> Self {
-        Awgn {
-            power_w: thermal_noise_watts(bandwidth_hz, 290.0, nf_db),
-        }
+        Self::with_power(thermal_noise_watts(bandwidth_hz, 290.0, nf_db))
     }
 
     /// A noiseless source (for analytic cross-checks).
     pub fn off() -> Self {
-        Awgn { power_w: 0.0 }
+        Self::with_power(0.0)
     }
 
     /// Total noise power in watts.
@@ -63,13 +66,14 @@ impl Awgn {
         self.power_w
     }
 
-    /// Draws one noise sample.
+    /// Draws one noise sample: the same draws and bits as
+    /// `randcn(rng, power_w)`, with the scale computed once per source.
     #[inline]
     pub fn sample<R: Rng + ?Sized>(&self, rng: &mut R) -> Iq {
         if self.power_w == 0.0 {
             Iq::ZERO
         } else {
-            randcn(rng, self.power_w)
+            Iq::new(self.sigma * randn(rng), self.sigma * randn(rng))
         }
     }
 
@@ -117,6 +121,27 @@ mod tests {
         // RNG must not be consumed when off.
         let mut rng2 = ChaCha8Rng::seed_from_u64(12);
         assert_eq!(crate::randn(&mut rng), crate::randn(&mut rng2));
+    }
+
+    #[test]
+    fn sample_is_bit_identical_to_randcn() {
+        let sources = [
+            Awgn::from_dbm(-90.0),
+            Awgn::from_dbm(f64::NAN),
+            Awgn::from_power_watts(0.01),
+            Awgn::from_power_watts(3.7),
+            Awgn::thermal(1e6, 6.0),
+        ];
+        for src in sources {
+            let mut a = ChaCha8Rng::seed_from_u64(14);
+            let mut b = ChaCha8Rng::seed_from_u64(14);
+            for _ in 0..10_000 {
+                let got = src.sample(&mut a);
+                let want = crate::randcn(&mut b, src.power_watts());
+                assert_eq!(got.re.to_bits(), want.re.to_bits(), "{src:?}");
+                assert_eq!(got.im.to_bits(), want.im.to_bits(), "{src:?}");
+            }
+        }
     }
 
     #[test]

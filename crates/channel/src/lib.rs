@@ -39,9 +39,10 @@ use rand::Rng;
 
 /// Draws one standard normal sample (Box–Muller transform).
 ///
-/// Centralised here so every crate draws Gaussians identically; the second
-/// Box–Muller output is intentionally discarded to keep the consumer's RNG
-/// stream position independent of call history.
+/// The second Box–Muller output is intentionally discarded to keep the
+/// consumer's RNG stream position independent of call history. `fdb-ambient`
+/// and `fdb-device` do not depend on this crate and keep private copies of
+/// the same transform.
 pub fn randn<R: Rng + ?Sized>(rng: &mut R) -> f64 {
     let u1: f64 = rng.gen_range(f64::MIN_POSITIVE..1.0);
     let u2: f64 = rng.gen_range(0.0..1.0);

@@ -50,6 +50,9 @@ impl HarvesterConfig {
 #[derive(Debug, Clone, Copy)]
 pub struct Harvester {
     cfg: HarvesterConfig,
+    /// `ln(saturation_w / sensitivity_w)`, the denominator of the
+    /// log-linear efficiency rise.
+    ln_span: f64,
     stored_j: f64,
     harvested_total_j: f64,
     outages: u64,
@@ -60,6 +63,7 @@ impl Harvester {
     pub fn new(cfg: HarvesterConfig) -> Self {
         Harvester {
             stored_j: cfg.initial_j.clamp(0.0, cfg.storage_j),
+            ln_span: (cfg.saturation_w / cfg.sensitivity_w).ln(),
             cfg,
             harvested_total_j: 0.0,
             outages: 0,
@@ -77,7 +81,7 @@ impl Harvester {
             return c.max_efficiency;
         }
         // Log-linear interpolation between floor (η=0) and saturation.
-        let f = (input_w / c.sensitivity_w).ln() / (c.saturation_w / c.sensitivity_w).ln();
+        let f = (input_w / c.sensitivity_w).ln() / self.ln_span;
         c.max_efficiency * f
     }
 
@@ -164,6 +168,38 @@ mod tests {
             prev = e;
         }
         assert!((hv.efficiency(1e-2) - 0.4).abs() < 1e-12);
+    }
+
+    #[test]
+    fn efficiency_is_bit_identical_to_the_closed_form() {
+        fn closed_form(c: &HarvesterConfig, input_w: f64) -> f64 {
+            if input_w <= c.sensitivity_w || c.sensitivity_w <= 0.0 {
+                return 0.0;
+            }
+            if input_w >= c.saturation_w {
+                return c.max_efficiency;
+            }
+            let f = (input_w / c.sensitivity_w).ln() / (c.saturation_w / c.sensitivity_w).ln();
+            c.max_efficiency * f
+        }
+        let configs = [
+            HarvesterConfig::typical(),
+            HarvesterConfig {
+                sensitivity_w: 3e-7,
+                saturation_w: 2e-3,
+                max_efficiency: 0.55,
+                ..HarvesterConfig::typical()
+            },
+        ];
+        for cfg in configs {
+            let hv = Harvester::new(cfg);
+            // 1e-7 W .. 1e-2 W, 40 points per decade.
+            for i in 0..=200 {
+                let p = 10f64.powf(-7.0 + i as f64 / 40.0);
+                let (got, want) = (hv.efficiency(p), closed_form(&cfg, p));
+                assert_eq!(got.to_bits(), want.to_bits(), "{p} W");
+            }
+        }
     }
 
     #[test]
