@@ -16,6 +16,9 @@
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 
+use fdb_channel::pathloss::PathLoss;
+use fdb_core::hash::ContentHash;
+use fdb_mac::csma::AccessMode;
 use fdb_sim::city::{CityEngine, CityReport, CityScenarioSpec};
 
 struct CountingAlloc;
@@ -147,6 +150,60 @@ fn golden_city_report_matches() {
         assert_eq!(f, g, "ledger of tag {}", g.tag);
     }
     assert_eq!(fresh.frames, golden.frames, "frame records");
+}
+
+/// Dense `city_64` variants that reach the parts of the interference
+/// kernel the golden (FreeSpace device path loss, collision detect) does
+/// not: a LogDistance exponent, a TwoRay crossover inside the 8 m area,
+/// and ALOHA's blind collision marking. Each full report — ledgers,
+/// totals, scheduler statistics and per-attempt records — is pinned by
+/// its content digest, so any change to contention scoring or event
+/// order shows here.
+#[test]
+fn contention_variant_reports_match_pinned_digests() {
+    let variants: [(&str, fn(&mut CityScenarioSpec), &str); 3] = [
+        (
+            "indoor-logdistance",
+            |s| s.pathloss_device = PathLoss::indoor(),
+            "99fdaf79ab67b70448ec99646d90818f",
+        ),
+        (
+            // λ ≈ 0.556 m at 539 MHz: crossover 4π·0.5·0.25/λ ≈ 2.8 m.
+            "two-ray-crossover",
+            |s| {
+                s.pathloss_device = PathLoss::TwoRay {
+                    freq_hz: 539e6,
+                    h_tx_m: 0.5,
+                    h_rx_m: 0.25,
+                }
+            },
+            "17131943e07f87199e585231cec189c6",
+        ),
+        (
+            "aloha",
+            |s| s.mode = AccessMode::Aloha,
+            "1b2bbef28c65cdc311d4415222744325",
+        ),
+    ];
+    let mut mismatches = Vec::new();
+    for (name, tweak, want) in variants {
+        let mut spec = city_64_spec();
+        spec.label = name.into();
+        spec.log_frames = true;
+        tweak(&mut spec);
+        let report = CityEngine::run(&spec).unwrap_or_else(|e| panic!("{name}: {e}"));
+        assert!(report.totals.conserved(), "{name}: {:?}", report.totals);
+        assert!(
+            report.totals.collisions > 0,
+            "{name} exercised no collisions: {:?}",
+            report.totals
+        );
+        let got = ContentHash::of_canonical("city-variant-report", &report).to_hex();
+        if got != want {
+            mismatches.push(format!("{name}: {got} (pinned {want})"));
+        }
+    }
+    assert!(mismatches.is_empty(), "variant digests moved: {mismatches:#?}");
 }
 
 /// The tentpole's scale target: 10 000 tags over one simulated hour in
