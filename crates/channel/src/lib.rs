@@ -2,7 +2,7 @@
 //!
 //! Models every impairment between an RF emitter and a receiving antenna in
 //! the fd-backscatter stack: deterministic path loss, stochastic small-scale
-//! fading, thermal noise, multipath dispersion and composed end-to-end
+//! fading, thermal noise, scripted impairments and composed end-to-end
 //! links, plus the link-budget arithmetic used to calibrate scenarios.
 //!
 //! Design notes:
@@ -25,7 +25,6 @@ pub mod budget;
 pub mod fading;
 pub mod impairment;
 pub mod link;
-pub mod multipath;
 pub mod pathloss;
 
 pub use awgn::Awgn;

@@ -1,10 +1,8 @@
 //! FIR filtering and pulse-shaping tap design.
 //!
 //! The ambient TV-like source (`fdb-ambient`'s `tv` module) shapes its
-//! symbol stream with a root-raised-cosine FIR; multipath channels are also
-//! tapped delay lines. Both run through [`Fir`], a direct-form transversal
-//! filter over complex samples with real taps (complex taps are provided by
-//! [`FirC`] for channel impulse responses).
+//! symbol stream with a root-raised-cosine FIR through [`Fir`], a
+//! direct-form transversal filter over complex samples with real taps.
 
 use crate::ringbuf::RingBuf;
 use crate::sample::Iq;
@@ -48,44 +46,6 @@ impl Fir {
         // contiguous slices walked newest → oldest visit taps[0], taps[1], …
         // in order — same accumulation sequence as indexed access, without
         // the per-tap modulo.
-        let (s1, s2) = self.delay.as_slices();
-        let mut acc = Iq::ZERO;
-        for (&t, &s) in self.taps.iter().zip(s2.iter().rev().chain(s1.iter().rev())) {
-            acc += s * t;
-        }
-        acc
-    }
-
-    /// Resets the internal delay line to zeros.
-    pub fn reset(&mut self) {
-        self.delay.fill(Iq::ZERO);
-    }
-}
-
-/// FIR filter with complex taps (channel impulse responses).
-#[derive(Debug, Clone)]
-pub struct FirC {
-    taps: Vec<Iq>,
-    delay: RingBuf<Iq>,
-}
-
-impl FirC {
-    /// Creates a filter from a complex impulse response.
-    pub fn new(taps: Vec<Iq>) -> Self {
-        let taps = if taps.is_empty() { vec![Iq::ONE] } else { taps };
-        let mut delay = RingBuf::new(taps.len());
-        delay.fill(Iq::ZERO);
-        FirC { taps, delay }
-    }
-
-    /// Impulse response.
-    pub fn taps(&self) -> &[Iq] {
-        &self.taps
-    }
-
-    /// Processes one sample.
-    pub fn process(&mut self, x: Iq) -> Iq {
-        self.delay.push_evict(x);
         let (s1, s2) = self.delay.as_slices();
         let mut acc = Iq::ZERO;
         for (&t, &s) in self.taps.iter().zip(s2.iter().rev().chain(s1.iter().rev())) {
@@ -192,15 +152,6 @@ mod tests {
             assert!((y.re - t).abs() < 1e-12);
             assert!(y.im.abs() < 1e-12);
         }
-    }
-
-    #[test]
-    fn complex_taps_rotate() {
-        // Single tap j rotates by 90°.
-        let mut f = FirC::new(vec![Iq::new(0.0, 1.0)]);
-        let y = f.process(Iq::ONE);
-        assert!((y.re).abs() < 1e-12);
-        assert!((y.im - 1.0).abs() < 1e-12);
     }
 
     #[test]

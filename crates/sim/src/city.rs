@@ -10,11 +10,12 @@
 //! 10 000 tags at 60 s mean interarrival spends >99.9 % of device-time
 //! asleep, harvesting. This engine inverts the cost model:
 //!
-//! * A binary-heap **event queue** (integer ticks = data-bit times)
+//! * A monotone radix **event queue** (integer ticks = data-bit times)
 //!   schedules tag wake-ups from harvest/duty state
 //!   ([`fdb_mac::duty::DutyCycleController`]) and frame boundaries.
 //!   Between events a tag advances analytically — charge accrual is a
-//!   closed-form expression, not simulated samples.
+//!   closed-form expression, not simulated samples. Equal-tick events
+//!   pop in push order (the private `EventQueue` says why that is exact).
 //! * Contention runs through the paper's feedback primitives: carrier
 //!   sense and collision-detect aborts at the
 //!   [`fdb_mac::csma::pilot_latency_bits`] latency, with binary
@@ -23,7 +24,10 @@
 //!   [`NetworkConfig::pair_gain`] geometry kernel — the same
 //!   pathloss-over-pair-distance quantity as
 //!   `BackscatterNetwork::pair_coeff` — without ever instantiating the
-//!   dense O(n²) network.
+//!   dense O(n²) network. A pair farther apart than the victim's
+//!   [`PathLoss::reach_m`] is skipped without evaluating the kernel:
+//!   past the reach the kernel is provably below the collision
+//!   threshold, so skipping changes no outcome, only the cost.
 //! * Under [`CityFidelity::Sampled`], uncollided frames additionally run
 //!   the full sample-level [`FdLink`] PHY through a bounded pool of
 //!   active-link slots (each embedding the PR-9 zero-alloc
@@ -61,8 +65,6 @@ use fdb_mac::duty::{DutyCycleController, DutyConfig};
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
 use serde::{Deserialize, Serialize};
-use std::cmp::Reverse;
-use std::collections::BinaryHeap;
 use std::io::Write;
 
 /// Salt of the per-tag position draws (`derive_seed(tag_stream, POS)`).
@@ -311,7 +313,14 @@ impl CityScenarioSpec {
         if !self.collision_margin_db.is_finite() {
             return bad("collision_margin_db", "must be finite".into());
         }
-        Ok(())
+        if !self.source_dist_m.is_finite() {
+            return bad("source_dist_m", "must be finite".into());
+        }
+        if !self.source_power_dbm.is_finite() {
+            return bad("source_power_dbm", "must be finite".into());
+        }
+        validate_pathloss("pathloss_source", &self.pathloss_source)?;
+        validate_pathloss("pathloss_device", &self.pathloss_device)
     }
 
     /// The interference/harvest geometry kernel shared with
@@ -326,6 +335,44 @@ impl CityScenarioSpec {
         cfg.pathloss_device = self.pathloss_device;
         cfg
     }
+}
+
+/// Rejects path-loss parameters the geometry kernel cannot price: a
+/// non-finite or non-positive frequency, a non-finite or negative
+/// LogDistance exponent, a non-finite reference distance or antenna
+/// height.
+fn validate_pathloss(field: &'static str, model: &PathLoss) -> Result<(), PhyError> {
+    let bad = |reason: String| Err(PhyError::InvalidConfig { field, reason });
+    let freq_hz = match *model {
+        PathLoss::FreeSpace { freq_hz } => freq_hz,
+        PathLoss::LogDistance {
+            freq_hz,
+            exponent,
+            ref_dist_m,
+        } => {
+            if !(exponent.is_finite() && exponent >= 0.0) {
+                return bad(format!("exponent {exponent} not in [0, ∞)"));
+            }
+            if !ref_dist_m.is_finite() {
+                return bad(format!("ref_dist_m {ref_dist_m} not finite"));
+            }
+            freq_hz
+        }
+        PathLoss::TwoRay {
+            freq_hz,
+            h_tx_m,
+            h_rx_m,
+        } => {
+            if !(h_tx_m.is_finite() && h_rx_m.is_finite()) {
+                return bad(format!("antenna heights {h_tx_m}, {h_rx_m} not finite"));
+            }
+            freq_hz
+        }
+    };
+    if !(freq_hz.is_finite() && freq_hz > 0.0) {
+        return bad(format!("freq_hz {freq_hz} not in (0, ∞)"));
+    }
+    Ok(())
 }
 
 /// Per-active-tag outcome ledger. Plain counters — byte-comparable for
@@ -514,36 +561,51 @@ enum EventKind {
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 struct Event {
     tick: u64,
-    /// Push-order tiebreak: equal-tick events process in push order, so
-    /// the schedule is deterministic and extension-stable.
-    seq: u64,
     tag: u32,
     epoch: u32,
     kind: EventKind,
 }
 
-impl Ord for Event {
-    fn cmp(&self, other: &Self) -> std::cmp::Ordering {
-        (self.tick, self.seq).cmp(&(other.tick, other.seq))
+/// The geometry a tag's link brings into contention scoring.
+#[derive(Debug, Clone, Copy)]
+struct LinkGeo {
+    pos: (f64, f64),
+    rx: (f64, f64),
+    /// Interference amplitude at this tag's receiver above which a
+    /// concurrent transmitter collides with it: own link amplitude ×
+    /// 10^(−margin/20).
+    collision_amp: f64,
+    /// Square of [`PathLoss::reach_m`] of `collision_amp`: a transmitter
+    /// whose squared distance to `rx` exceeds it cannot collide.
+    reach2: f64,
+}
+
+impl LinkGeo {
+    /// Whether a transmitter at `tx` reaches this link's receiver with at
+    /// least `collision_amp`. Pairs beyond the reach skip the kernel: the
+    /// squared distance is [`NetworkConfig::pair_distance`]'s own
+    /// expression, and `reach_m` bounds the kernel from above past it, so
+    /// the answer is the kernel's exactly.
+    #[allow(clippy::neg_cmp_op_on_partial_ord)] // a NaN distance goes to the kernel
+    fn hit_by(&self, tx: (f64, f64), gain_cfg: &NetworkConfig) -> bool {
+        let d2 = (tx.0 - self.rx.0).powi(2) + (tx.1 - self.rx.1).powi(2);
+        !(d2 > self.reach2) && gain_cfg.pair_gain(tx, self.rx) >= self.collision_amp
     }
 }
 
-impl PartialOrd for Event {
-    fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
-        Some(self.cmp(other))
-    }
+/// A link in flight: its tag and a copy of its geometry, kept contiguous
+/// for the contention scans.
+#[derive(Debug, Clone, Copy)]
+struct ActiveLink {
+    tag: u32,
+    geo: LinkGeo,
 }
 
 /// Per-tag live state (engine-internal).
 #[derive(Debug, Clone, Copy)]
 struct TagState {
-    pos: (f64, f64),
-    rx: (f64, f64),
+    geo: LinkGeo,
     income_w: f64,
-    /// Interference amplitude at this tag's receiver above which a
-    /// concurrent transmitter collides with it: own link amplitude ×
-    /// 10^(−margin/20).
-    collision_amp: f64,
     duty: DutyCycleController,
     stream: u64,
     draw_stream: u64,
@@ -580,10 +642,10 @@ fn u01(v: u64) -> f64 {
 /// [`run_into`]: CityEngine::run_into
 #[derive(Default)]
 pub struct CityEngine {
-    heap: BinaryHeap<Reverse<Event>>,
+    queue: EventQueue,
     tags: Vec<TagState>,
-    /// Tags currently transmitting (indices into `tags`).
-    active: Vec<u32>,
+    /// Links currently transmitting.
+    active: Vec<ActiveLink>,
     /// Sampled-fidelity link slots, lazily built (None in analytic runs).
     slots: Vec<Option<FdLink>>,
     free_slots: Vec<u32>,
@@ -593,7 +655,6 @@ pub struct CityEngine {
     /// Cached geometry kernel ([`CityScenarioSpec::gain_config`]) so
     /// repeated runs don't rebuild its internal vectors.
     gain_cfg: Option<NetworkConfig>,
-    seq: u64,
 }
 
 impl CityEngine {
@@ -620,7 +681,7 @@ impl CityEngine {
     }
 
     /// [`run_into`](CityEngine::run_into) with a cooperative control
-    /// surface: `cancel` is polled every [`CTL_EVERY_EVENTS`] events
+    /// surface: `cancel` is polled every `CTL_EVERY_EVENTS` (4096) events
     /// (returning `true` stops the run with [`PhyError::Cancelled`],
     /// `frames_done` = events processed), and `progress` receives
     /// simulated-time progress on the same cadence (`done` ∈ `0..=100`).
@@ -651,7 +712,7 @@ impl CityEngine {
         let payload_bits = (spec.payload_len * 8) as u64;
 
         // Reset reusable state.
-        self.heap.clear();
+        self.queue.clear();
         self.tags.clear();
         self.active.clear();
         self.free_slots.clear();
@@ -660,7 +721,6 @@ impl CityEngine {
         for s in (0..spec.pool as u32).rev() {
             self.free_slots.push(s);
         }
-        self.seq = 0;
         self.payload.clear();
         self.payload.resize(spec.payload_len, 0xA5);
 
@@ -691,7 +751,8 @@ impl CityEngine {
             let rx = (pos.0 + spec.link_dist_m, pos.1);
             let income_w =
                 source_w * gain_cfg.source_gain(pos).powi(2) * spec.harvest_efficiency;
-            let own_amp = gain_cfg.pair_gain(pos, rx);
+            let collision_amp = gain_cfg.pair_gain(pos, rx) * margin_amp;
+            let reach = spec.pathloss_device.reach_m(collision_amp);
             let dead = income_w <= spec.duty.sleep_load_w;
             let ledger = TagLedger {
                 tag: t,
@@ -699,10 +760,13 @@ impl CityEngine {
                 ..TagLedger::default()
             };
             let mut state = TagState {
-                pos,
-                rx,
+                geo: LinkGeo {
+                    pos,
+                    rx,
+                    collision_amp,
+                    reach2: reach * reach,
+                },
                 income_w,
-                collision_amp: own_amp * margin_amp,
                 duty: DutyCycleController::new(spec.duty),
                 stream,
                 draw_stream: derive_seed(stream, DRAW_STREAM),
@@ -725,38 +789,26 @@ impl CityEngine {
             if !dead {
                 // First arrival; the chain continues inside the loop.
                 let dt = interarrival_ticks(&mut state, spec.mean_interarrival_s, ticks_per_s);
-                push_event(
-                    &mut self.heap,
-                    &mut self.seq,
-                    Event {
-                        tick: dt,
-                        seq: 0,
-                        tag: t,
-                        epoch: 0,
-                        kind: EventKind::Arrival,
-                    },
-                );
+                self.queue.push(Event {
+                    tick: dt,
+                    tag: t,
+                    epoch: 0,
+                    kind: EventKind::Arrival,
+                });
             }
             self.tags.push(state);
         }
 
         // Event loop. Events past the horizon stay queued (and are
-        // discarded with the heap on the next run): popping stops at the
+        // discarded with the queue on the next run): popping stops at the
         // first out-of-horizon event, so extending the horizon replays
         // the exact same prefix — extension stability.
-        let mut last_tick = 0u64;
         let mut events: u64 = 0;
         loop {
-            report.peak_queue = report.peak_queue.max(self.heap.len() as u64);
-            let Some(&Reverse(ev)) = self.heap.peek() else {
+            report.peak_queue = report.peak_queue.max(self.queue.len() as u64);
+            let Some(ev) = self.queue.pop_through(horizon) else {
                 break;
             };
-            if ev.tick > horizon {
-                break;
-            }
-            self.heap.pop();
-            debug_assert!(ev.tick >= last_tick, "event queue went back in time");
-            last_tick = ev.tick;
             events += 1;
             if events.is_multiple_of(CTL_EVERY_EVENTS) {
                 if let Some(c) = cancel {
@@ -779,18 +831,12 @@ impl CityEngine {
                     t.pending += spec.burst_arrivals as u64;
                     let dt =
                         interarrival_ticks(t, spec.mean_interarrival_s, ticks_per_s);
-                    let next = ev.tick + dt;
-                    push_event(
-                        &mut self.heap,
-                        &mut self.seq,
-                        Event {
-                            tick: next,
-                            seq: 0,
-                            tag: ev.tag,
-                            epoch: 0,
-                            kind: EventKind::Arrival,
-                        },
-                    );
+                    self.queue.push(Event {
+                        tick: ev.tick + dt,
+                        tag: ev.tag,
+                        epoch: 0,
+                        kind: EventKind::Arrival,
+                    });
                     if !t.transmitting && !t.waiting {
                         self.try_start(spec, ev.tick, ev.tag, frame_ticks, pilot_latency, &gain_cfg, ticks_per_s);
                     }
@@ -887,17 +933,12 @@ impl CityEngine {
                 let dt = ((sleep_s * ticks_per_s).ceil() as u64).max(1);
                 let epoch = self.tags[ti].epoch;
                 self.tags[ti].waiting = true;
-                push_event(
-                    &mut self.heap,
-                    &mut self.seq,
-                    Event {
-                        tick: now + dt,
-                        seq: 0,
-                        tag,
-                        epoch,
-                        kind: EventKind::Wake,
-                    },
-                );
+                self.queue.push(Event {
+                    tick: now + dt,
+                    tag,
+                    epoch,
+                    kind: EventKind::Wake,
+                });
                 return;
             }
             _ => {}
@@ -905,17 +946,10 @@ impl CityEngine {
 
         // Carrier sense (the full-duplex feedback primitive) and the
         // active-link pool bound: either defers with a backoff retry.
-        let my = self.tags[ti];
-        let mut deferred = self.active.len() >= spec.pool;
-        if !deferred && spec.mode == AccessMode::FdCollisionDetect {
-            for &o in &self.active {
-                let ot = &self.tags[o as usize];
-                if gain_cfg.pair_gain(ot.pos, my.rx) >= my.collision_amp {
-                    deferred = true;
-                    break;
-                }
-            }
-        }
+        let my = self.tags[ti].geo;
+        let fd = spec.mode == AccessMode::FdCollisionDetect;
+        let deferred = self.active.len() >= spec.pool
+            || (fd && self.active.iter().any(|o| my.hit_by(o.geo.pos, gain_cfg)));
         if deferred {
             let t = &mut self.tags[ti];
             t.ledger.deferrals += 1;
@@ -925,51 +959,41 @@ impl CityEngine {
             t.duty.bank(income, wait as f64 / ticks_per_s);
             t.waiting = true;
             let epoch = t.epoch;
-            push_event(
-                &mut self.heap,
-                &mut self.seq,
-                Event {
-                    tick: now + wait,
-                    seq: 0,
-                    tag,
-                    epoch,
-                    kind: EventKind::Wake,
-                },
-            );
+            self.queue.push(Event {
+                tick: now + wait,
+                tag,
+                epoch,
+                kind: EventKind::Wake,
+            });
             return;
         }
 
         // Start. Mark collisions in both directions against every link
-        // already in flight, using the pair_coeff geometry kernel.
+        // already in flight, using the pair_coeff geometry kernel. Under
+        // collision detect, carrier sense has just found no active link
+        // hitting this receiver, so only ALOHA can start collided.
         let end = now + frame_ticks;
-        let mut collided = false;
-        for k in 0..self.active.len() {
-            let o = self.active[k] as usize;
-            let (o_pos, o_rx, o_amp) =
-                (self.tags[o].pos, self.tags[o].rx, self.tags[o].collision_amp);
-            if gain_cfg.pair_gain(o_pos, my.rx) >= my.collision_amp {
-                collided = true;
+        let collided = !fd && self.active.iter().any(|o| my.hit_by(o.geo.pos, gain_cfg));
+        debug_assert!(
+            !fd || !self.active.iter().any(|o| my.hit_by(o.geo.pos, gain_cfg)),
+            "carrier sense passed a start that collides"
+        );
+        for o in &self.active {
+            if !o.geo.hit_by(my.pos, gain_cfg) {
+                continue;
             }
-            if gain_cfg.pair_gain(my.pos, o_rx) >= o_amp {
-                let ot = &mut self.tags[o];
-                ot.collided = true;
-                if spec.mode == AccessMode::FdCollisionDetect && !ot.abort_scheduled {
-                    let abort_tick = now + pilot_latency;
-                    if abort_tick < ot.tx_end {
-                        ot.abort_scheduled = true;
-                        let epoch = ot.epoch;
-                        push_event(
-                            &mut self.heap,
-                            &mut self.seq,
-                            Event {
-                                tick: abort_tick,
-                                seq: 0,
-                                tag: o as u32,
-                                epoch,
-                                kind: EventKind::Abort,
-                            },
-                        );
-                    }
+            let ot = &mut self.tags[o.tag as usize];
+            ot.collided = true;
+            if fd && !ot.abort_scheduled {
+                let abort_tick = now + pilot_latency;
+                if abort_tick < ot.tx_end {
+                    ot.abort_scheduled = true;
+                    self.queue.push(Event {
+                        tick: abort_tick,
+                        tag: o.tag,
+                        epoch: ot.epoch,
+                        kind: EventKind::Abort,
+                    });
                 }
             }
         }
@@ -984,36 +1008,13 @@ impl CityEngine {
         t.attempts += 1;
         t.defer_streak = 0;
         t.ledger.attempts += 1;
-        let epoch = t.epoch;
-        if collided && spec.mode == AccessMode::FdCollisionDetect {
-            let abort_tick = now + pilot_latency;
-            if abort_tick < end {
-                t.abort_scheduled = true;
-                push_event(
-                    &mut self.heap,
-                    &mut self.seq,
-                    Event {
-                        tick: abort_tick,
-                        seq: 0,
-                        tag,
-                        epoch,
-                        kind: EventKind::Abort,
-                    },
-                );
-            }
-        }
-        push_event(
-            &mut self.heap,
-            &mut self.seq,
-            Event {
-                tick: end,
-                seq: 0,
-                tag,
-                epoch,
-                kind: EventKind::TxEnd,
-            },
-        );
-        self.active.push(tag);
+        self.queue.push(Event {
+            tick: end,
+            tag,
+            epoch: t.epoch,
+            kind: EventKind::TxEnd,
+        });
+        self.active.push(ActiveLink { tag, geo: my });
     }
 
     /// Finishes the in-flight attempt of `tag` at `now` (an Abort or
@@ -1041,7 +1042,7 @@ impl CityEngine {
             t.epoch = t.epoch.wrapping_add(1);
             (t.tx_start, t.collided, t.slot)
         };
-        if let Some(k) = self.active.iter().position(|&a| a == tag) {
+        if let Some(k) = self.active.iter().position(|a| a.tag == tag) {
             self.active.swap_remove(k);
         }
         let dur_s = (now - tx_start) as f64 / ticks_per_s;
@@ -1108,18 +1109,12 @@ impl CityEngine {
                     let wait = 1 + draw(t) % window;
                     t.duty.bank(income, wait as f64 / ticks_per_s);
                     t.waiting = true;
-                    let epoch = t.epoch;
-                    push_event(
-                        &mut self.heap,
-                        &mut self.seq,
-                        Event {
-                            tick: now + wait,
-                            seq: 0,
-                            tag,
-                            epoch,
-                            kind: EventKind::Wake,
-                        },
-                    );
+                    self.queue.push(Event {
+                        tick: now + wait,
+                        tag,
+                        epoch: t.epoch,
+                        kind: EventKind::Wake,
+                    });
                 }
             }
         }
@@ -1151,7 +1146,7 @@ impl CityEngine {
         let ti = tag as usize;
         let (pos, rx_pos, stream, n) = {
             let t = &self.tags[ti];
-            (t.pos, t.rx, t.stream, t.frames_sampled)
+            (t.geo.pos, t.geo.rx, t.stream, t.frames_sampled)
         };
         self.tags[ti].frames_sampled += 1;
         let cfg = self.link_cfg.get_or_insert_with(LinkConfig::default_fd);
@@ -1186,11 +1181,149 @@ impl CityEngine {
     }
 }
 
-/// Pushes an event, stamping the global push-order sequence number.
-fn push_event(heap: &mut BinaryHeap<Reverse<Event>>, seq: &mut u64, mut ev: Event) {
-    ev.seq = *seq;
-    *seq += 1;
-    heap.push(Reverse(ev));
+
+/// End of an [`EventQueue`] list.
+const NIL: u32 = u32::MAX;
+/// Bucket 0 holds `tick == last`; bucket `b ≥ 1` holds ticks whose
+/// highest bit differing from `last` is bit `b − 1`.
+const BUCKETS: usize = 65;
+
+/// One queued event, threaded into its bucket's list by `next`.
+#[derive(Debug, Clone, Copy)]
+struct QueueNode {
+    ev: Event,
+    next: u32,
+}
+
+/// Monotone radix queue of [`Event`]s on `tick`.
+///
+/// The event loop only ever pushes at or after the tick it last popped,
+/// which is what a radix heap needs: an event sits in the bucket of the
+/// highest bit in which its tick differs from `last`, the last popped
+/// tick. Popping drains bucket 0; when it is empty, the lowest non-empty
+/// bucket's minimum becomes `last` and that bucket is redistributed into
+/// lower ones, so each event moves at most 64 times in its life.
+///
+/// Equal-tick events pop in push order, which keeps the schedule
+/// deterministic and extension-stable: two events with the same tick
+/// always share a bucket, each bucket is a FIFO list, and
+/// redistribution walks a list front to back, appending to the lists it
+/// feeds. All buckets thread through one node slab with a free list, so
+/// a reused queue allocates nothing.
+struct EventQueue {
+    nodes: Vec<QueueNode>,
+    free: u32,
+    heads: [u32; BUCKETS],
+    tails: [u32; BUCKETS],
+    /// Bit `b` set iff bucket `b` is non-empty.
+    occupied: u128,
+    last: u64,
+    len: usize,
+}
+
+impl Default for EventQueue {
+    fn default() -> Self {
+        EventQueue {
+            nodes: Vec::new(),
+            free: NIL,
+            heads: [NIL; BUCKETS],
+            tails: [NIL; BUCKETS],
+            occupied: 0,
+            last: 0,
+            len: 0,
+        }
+    }
+}
+
+impl EventQueue {
+    /// Empties the queue, keeping the slab's capacity.
+    fn clear(&mut self) {
+        let mut nodes = std::mem::take(&mut self.nodes);
+        nodes.clear();
+        *self = EventQueue {
+            nodes,
+            ..EventQueue::default()
+        };
+    }
+
+    fn len(&self) -> usize {
+        self.len
+    }
+
+    fn bucket(&self, tick: u64) -> usize {
+        (u64::BITS - (tick ^ self.last).leading_zeros()) as usize
+    }
+
+    /// Appends node `n` to the tail of bucket `b`.
+    fn link(&mut self, b: usize, n: u32) {
+        self.nodes[n as usize].next = NIL;
+        match self.tails[b] {
+            NIL => self.heads[b] = n,
+            t => self.nodes[t as usize].next = n,
+        }
+        self.tails[b] = n;
+        self.occupied |= 1 << b;
+    }
+
+    fn push(&mut self, ev: Event) {
+        debug_assert!(ev.tick >= self.last, "event pushed before the last pop");
+        let node = QueueNode { ev, next: NIL };
+        let n = if self.free == NIL {
+            self.nodes.push(node);
+            (self.nodes.len() - 1) as u32
+        } else {
+            let n = self.free;
+            self.free = self.nodes[n as usize].next;
+            self.nodes[n as usize] = node;
+            n
+        };
+        self.link(self.bucket(ev.tick), n);
+        self.len += 1;
+    }
+
+    /// Pops the earliest event if its tick is ≤ `limit`; a later one
+    /// stays queued.
+    fn pop_through(&mut self, limit: u64) -> Option<Event> {
+        if self.heads[0] == NIL {
+            // Lowest non-empty bucket: its minimum is the queue's.
+            let b = self.occupied.trailing_zeros() as usize;
+            if b >= BUCKETS {
+                return None;
+            }
+            let mut min = u64::MAX;
+            let mut n = self.heads[b];
+            while n != NIL {
+                min = min.min(self.nodes[n as usize].ev.tick);
+                n = self.nodes[n as usize].next;
+            }
+            if min > limit {
+                return None;
+            }
+            self.last = min;
+            let mut n = self.heads[b];
+            self.heads[b] = NIL;
+            self.tails[b] = NIL;
+            self.occupied &= !(1 << b);
+            while n != NIL {
+                let next = self.nodes[n as usize].next;
+                self.link(self.bucket(self.nodes[n as usize].ev.tick), n);
+                n = next;
+            }
+        } else if self.last > limit {
+            return None;
+        }
+        let n = self.heads[0];
+        let node = self.nodes[n as usize];
+        self.heads[0] = node.next;
+        if node.next == NIL {
+            self.tails[0] = NIL;
+            self.occupied &= !1;
+        }
+        self.nodes[n as usize].next = self.free;
+        self.free = n;
+        self.len -= 1;
+        Some(node.ev)
+    }
 }
 
 /// Next draw from the tag's stateless counter stream.
@@ -1353,11 +1486,75 @@ mod tests {
             |s: &mut CityScenarioSpec| s.harvest_efficiency = 2.0,
             |s: &mut CityScenarioSpec| s.area_m = f64::INFINITY,
             |s: &mut CityScenarioSpec| s.link_dist_m = 0.0,
+            |s: &mut CityScenarioSpec| s.source_dist_m = f64::NAN,
+            |s: &mut CityScenarioSpec| s.source_dist_m = f64::INFINITY,
+            |s: &mut CityScenarioSpec| s.source_power_dbm = f64::NEG_INFINITY,
+            |s: &mut CityScenarioSpec| s.pathloss_source = PathLoss::FreeSpace { freq_hz: 0.0 },
+            |s: &mut CityScenarioSpec| s.pathloss_device = PathLoss::FreeSpace { freq_hz: -1.0 },
+            |s: &mut CityScenarioSpec| {
+                s.pathloss_device = PathLoss::FreeSpace { freq_hz: f64::NAN }
+            },
+            |s: &mut CityScenarioSpec| {
+                s.pathloss_source = PathLoss::FreeSpace {
+                    freq_hz: f64::INFINITY,
+                }
+            },
+            |s: &mut CityScenarioSpec| {
+                s.pathloss_device = PathLoss::LogDistance {
+                    freq_hz: 539e6,
+                    exponent: -2.0,
+                    ref_dist_m: 1.0,
+                }
+            },
+            |s: &mut CityScenarioSpec| {
+                s.pathloss_source = PathLoss::LogDistance {
+                    freq_hz: 539e6,
+                    exponent: f64::NAN,
+                    ref_dist_m: 1.0,
+                }
+            },
+            |s: &mut CityScenarioSpec| {
+                s.pathloss_device = PathLoss::LogDistance {
+                    freq_hz: 539e6,
+                    exponent: 2.7,
+                    ref_dist_m: f64::INFINITY,
+                }
+            },
+            |s: &mut CityScenarioSpec| {
+                s.pathloss_device = PathLoss::TwoRay {
+                    freq_hz: 539e6,
+                    h_tx_m: f64::NAN,
+                    h_rx_m: 1.0,
+                }
+            },
+            |s: &mut CityScenarioSpec| {
+                s.pathloss_source = PathLoss::TwoRay {
+                    freq_hz: 539e6,
+                    h_tx_m: 1.0,
+                    h_rx_m: f64::INFINITY,
+                }
+            },
         ];
         for f in cases {
             let mut bad = small_spec();
             f(&mut bad);
-            assert!(bad.validate().is_err());
+            assert!(
+                matches!(bad.validate(), Err(PhyError::InvalidConfig { .. })),
+                "{bad:?}"
+            );
+        }
+        // Every shipped device model still passes.
+        for model in [
+            PathLoss::indoor(),
+            PathLoss::TwoRay {
+                freq_hz: 539e6,
+                h_tx_m: 0.5,
+                h_rx_m: 0.25,
+            },
+        ] {
+            let mut spec = small_spec();
+            spec.pathloss_device = model;
+            spec.validate().unwrap();
         }
     }
 
@@ -1411,6 +1608,65 @@ mod tests {
             summary.get("conserved"),
             Some(serde_json::Value::Bool(true))
         ));
+    }
+
+    /// The radix queue pops exactly what a `(tick, push order)` binary
+    /// heap pops, under monotone pushes dense in equal ticks and with
+    /// limits that stop short of the next event.
+    #[test]
+    fn event_queue_matches_tick_then_push_order_heap() {
+        use std::cmp::Reverse;
+        use std::collections::BinaryHeap;
+        let mut queue = EventQueue::default();
+        for round in 0..3u64 {
+            queue.clear();
+            let mut heap = BinaryHeap::new();
+            let mut seq = 0u32;
+            let mut now = 0u64;
+            let mut rng = derive_seed(round, 0);
+            let mut next = || {
+                rng = derive_seed(rng, 1);
+                rng
+            };
+            for step in 0..20_000u32 {
+                let r = next();
+                if r % 3 != 0 || heap.is_empty() {
+                    // Deltas from 0 up to 2^40 (equal ticks common).
+                    let delta = match r >> 60 {
+                        0..=5 => 0,
+                        6..=11 => (r >> 8) % 64,
+                        _ => (r >> 8) % (1 << ((r >> 2) % 41)),
+                    };
+                    let ev = Event {
+                        tick: now + delta,
+                        tag: seq,
+                        epoch: step,
+                        kind: EventKind::Wake,
+                    };
+                    queue.push(ev);
+                    heap.push(Reverse((ev.tick, seq)));
+                    seq += 1;
+                } else {
+                    let &Reverse((tick, tag)) = heap.peek().unwrap();
+                    let limit = if r % 7 == 0 { tick.saturating_sub(1) } else { tick };
+                    let got = queue.pop_through(limit);
+                    if limit < tick {
+                        assert_eq!(got, None, "popped past the limit");
+                        continue;
+                    }
+                    heap.pop();
+                    let got = got.expect("queue ran dry before the heap");
+                    assert_eq!((got.tick, got.tag), (tick, tag));
+                    now = tick;
+                }
+                assert_eq!(queue.len(), heap.len());
+            }
+            while let Some(Reverse((tick, tag))) = heap.pop() {
+                let got = queue.pop_through(u64::MAX).unwrap();
+                assert_eq!((got.tick, got.tag), (tick, tag));
+            }
+            assert_eq!(queue.pop_through(u64::MAX), None);
+        }
     }
 
     #[test]

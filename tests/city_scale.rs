@@ -161,7 +161,8 @@ fn golden_city_report_matches() {
 /// order shows here.
 #[test]
 fn contention_variant_reports_match_pinned_digests() {
-    let variants: [(&str, fn(&mut CityScenarioSpec), &str); 3] = [
+    type Tweak = fn(&mut CityScenarioSpec);
+    let variants: [(&str, Tweak, &str); 3] = [
         (
             "indoor-logdistance",
             |s| s.pathloss_device = PathLoss::indoor(),
@@ -209,9 +210,9 @@ fn contention_variant_reports_match_pinned_digests() {
 /// The tentpole's scale target: 10 000 tags over one simulated hour in
 /// seconds of wall-clock. The event count is pinned exactly (it is
 /// deterministic and machine-independent); the wall-clock bound holds
-/// with a wide margin in release builds (~1 s on dev hardware vs the
-/// 60 s CI budget), which is why this test is `#[ignore]`d from the
-/// debug tier-1 sweep and run by the release city-scale CI job with
+/// with a wide margin in release builds (~0.4 s on a 2-vCPU Xeon host
+/// vs the 60 s CI budget), which is why this test is `#[ignore]`d from
+/// the debug tier-1 sweep and run by the release city-scale CI job with
 /// `--include-ignored`.
 #[test]
 #[ignore = "release-only perf gate; run with --release -- --include-ignored"]
