@@ -17,7 +17,6 @@
 //!               [--stream-trace --trace-out PATH] [--timeout-ms N]
 //! probe submit  [--socket PATH] --ping | --recheck N | --stop-service
 //! probe --validate-trace PATH
-//! probe --sweep [frames]
 //! ```
 //!
 //! * `replay` — replays **one seeded frame** over the default link and
@@ -55,8 +54,7 @@
 //! (JSON, see `configs/faults/`) to any run mode; fault activations land
 //! in the metrics/summary output. `--validate-trace PATH` parses a trace
 //! JSONL file line-by-line and exits non-zero on the first malformed
-//! line. `--sweep [frames]` is the legacy operating-envelope sweep. An
-//! invocation with no subcommand runs `replay`.
+//! line. An invocation with no subcommand runs `replay`.
 
 use fdb_core::link::{FdLink, FrameRun, LinkConfig, RunOptions};
 use fdb_core::trace::parse_trace_line;
@@ -76,7 +74,6 @@ enum Mode {
     Serve,
     Submit,
     Validate,
-    Sweep,
 }
 
 struct Args {
@@ -88,8 +85,6 @@ struct Args {
     full_duplex: bool,
     /// Restrict JSONL output to one stage (tx/channel/sic/rx/feedback).
     stage: Option<String>,
-    /// Frames per point for the legacy distance sweep.
-    sweep_frames: u32,
     /// Bundled scenario file (`{link, spec}` JSON) for report modes.
     config: Option<String>,
     /// Frame-count override for report modes.
@@ -145,8 +140,7 @@ fn usage() -> ! {
          \x20      probe submit  [--socket PATH] (--job PATH | --pair PATH | [--config PATH])\n\
          \x20                    [--stream-trace --trace-out PATH] [--timeout-ms N]\n\
          \x20      probe submit  [--socket PATH] --ping | --recheck N | --stop-service\n\
-         \x20      probe --validate-trace PATH\n\
-         \x20      probe --sweep [frames]"
+         \x20      probe --validate-trace PATH"
     );
     std::process::exit(2);
 }
@@ -160,7 +154,6 @@ fn parse_args() -> Args {
         payload_len: 64,
         full_duplex: true,
         stage: None,
-        sweep_frames: 20,
         config: None,
         frames: None,
         trace_out: None,
@@ -181,7 +174,7 @@ fn parse_args() -> Args {
         recheck: None,
         stop_service: false,
     };
-    let mut it = std::env::args().skip(1).peekable();
+    let mut it = std::env::args().skip(1);
     let mut first_token = true;
     while let Some(flag) = it.next() {
         let mut value = |name: &str| {
@@ -244,13 +237,6 @@ fn parse_args() -> Args {
                 args.mode = Some(Mode::Validate);
                 args.validate_trace = Some(value("--validate-trace"));
             }
-            "--sweep" => {
-                args.mode = Some(Mode::Sweep);
-                if let Some(n) = it.peek().and_then(|s| s.parse().ok()) {
-                    args.sweep_frames = n;
-                    it.next();
-                }
-            }
             "--help" | "-h" => usage(),
             // Positional comma-list after `matrix`.
             cfgs if args.mode == Some(Mode::Matrix)
@@ -280,7 +266,6 @@ fn main() {
         Mode::City => city_report(&args),
         Mode::Serve => serve_cmd(&args),
         Mode::Submit => submit_cmd(&args),
-        Mode::Sweep => sweep(args.sweep_frames),
         Mode::Replay => {
             #[cfg(feature = "trace")]
             trace_frame(&args);
@@ -288,7 +273,7 @@ fn main() {
             {
                 eprintln!(
                     "probe was built without the `trace` feature; rebuild with default \
-                     features (or use sync/link/matrix/--sweep/--validate-trace)"
+                     features (or use sync/link/matrix/--validate-trace)"
                 );
                 std::process::exit(2);
             }
@@ -357,8 +342,8 @@ fn load_scenario(args: &Args, default_frames: u64) -> (LinkConfig, MeasureSpec) 
     if let Some(path) = &args.faults {
         spec = spec.with_faults(load_fault_plan(path));
     }
-    cfg.phy.validate().unwrap_or_else(|e| {
-        eprintln!("invalid PHY config: {e}");
+    cfg.validate().unwrap_or_else(|e| {
+        eprintln!("{e}");
         std::process::exit(2);
     });
     (cfg, spec)
@@ -430,7 +415,6 @@ fn clone_args(args: &Args) -> Args {
         payload_len: args.payload_len,
         full_duplex: args.full_duplex,
         stage: args.stage.clone(),
-        sweep_frames: args.sweep_frames,
         config: args.config.clone(),
         frames: args.frames,
         trace_out: args.trace_out.clone(),
@@ -481,7 +465,10 @@ fn trace_frame(args: &Args) {
     cfg.geometry.device_dist_m = args.dist;
     let frame_cap = cfg.phy.trace_ring_capacity();
     let mut rng = ChaCha8Rng::seed_from_u64(args.seed);
-    let mut link = FdLink::new(cfg, &mut rng).expect("valid default config");
+    let mut link = FdLink::new(cfg, &mut rng).unwrap_or_else(|e| {
+        eprintln!("{e}");
+        std::process::exit(2);
+    });
     let payload: Vec<u8> = (0..args.payload_len).map(|i| (i % 251) as u8).collect();
     let opts = if args.full_duplex {
         RunOptions::fd_monitor()
@@ -746,8 +733,8 @@ fn mac_report(args: &Args) {
         pair.adaptive.seed = args.seed;
         pair.oblivious.seed = args.seed;
     }
-    pair.link.phy.validate().unwrap_or_else(|e| {
-        eprintln!("invalid PHY config: {e}");
+    pair.link.validate().unwrap_or_else(|e| {
+        eprintln!("{e}");
         std::process::exit(2);
     });
     let outcome = pair.run().unwrap_or_else(|e| {
@@ -1080,34 +1067,4 @@ fn validate_trace(path: &str) {
     println!(
         "{{\"validated\":\"{path}\",\"frames\":{frames},\"events\":{events}}}"
     );
-}
-
-/// Legacy operating-envelope sweep: lock/delivery/block/feedback summary
-/// across device separations.
-fn sweep(frames: u32) {
-    let mut rng = ChaCha8Rng::seed_from_u64(7);
-    println!("frames per point: {frames}");
-    println!("distance | locked | delivered | blocks_ok | fb_nack_bits");
-    for dist in [0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 1.0] {
-        let mut cfg = LinkConfig::default_fd();
-        cfg.geometry.device_dist_m = dist;
-        let mut link = FdLink::new(cfg, &mut rng).expect("valid default config");
-        let payload: Vec<u8> = (0..64u8).collect();
-        let (mut locked, mut ok, mut blocks_ok, mut blocks, mut fb_nack, mut fb_total) =
-            (0u32, 0u32, 0usize, 0usize, 0usize, 0usize);
-        for _ in 0..frames {
-            let out = link
-                .run_frame(&payload, &RunOptions::fd_monitor(), &mut rng)
-                .expect("frame");
-            locked += u32::from(out.b_locked);
-            ok += u32::from(out.fully_delivered());
-            blocks_ok += out.blocks_ok();
-            blocks += out.blocks_total();
-            fb_total += out.feedback.len();
-            fb_nack += out.feedback.iter().filter(|f| !f.bit).count();
-        }
-        println!(
-            "  {dist:.2} m | {locked:>4}/{frames} | {ok:>6}/{frames} | {blocks_ok:>5}/{blocks:<5} | {fb_nack:>5}/{fb_total}"
-        );
-    }
 }

@@ -40,8 +40,9 @@ use rand::Rng;
 ///
 /// The second Box–Muller output is intentionally discarded to keep the
 /// consumer's RNG stream position independent of call history. `fdb-ambient`
-/// and `fdb-device` do not depend on this crate and keep private copies of
-/// the same transform.
+/// and `fdb-device` do not depend on this crate; each keeps one crate-private
+/// copy of the same transform (`fdb_ambient::power::gaussian`,
+/// `fdb_device::gaussian`).
 pub fn randn<R: Rng + ?Sized>(rng: &mut R) -> f64 {
     let u1: f64 = rng.gen_range(f64::MIN_POSITIVE..1.0);
     let u2: f64 = rng.gen_range(0.0..1.0);

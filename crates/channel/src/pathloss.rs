@@ -63,6 +63,43 @@ impl PathLoss {
         }
     }
 
+    /// Rejects parameters the model cannot price: a non-finite or
+    /// non-positive frequency, a non-finite or negative LogDistance
+    /// exponent, a non-finite reference distance or antenna height. The
+    /// error is the reason; the caller names the field.
+    pub fn validate(&self) -> Result<(), String> {
+        let freq_hz = match *self {
+            PathLoss::FreeSpace { freq_hz } => freq_hz,
+            PathLoss::LogDistance {
+                freq_hz,
+                exponent,
+                ref_dist_m,
+            } => {
+                if !(exponent.is_finite() && exponent >= 0.0) {
+                    return Err(format!("exponent {exponent} not in [0, ∞)"));
+                }
+                if !ref_dist_m.is_finite() {
+                    return Err(format!("ref_dist_m {ref_dist_m} not finite"));
+                }
+                freq_hz
+            }
+            PathLoss::TwoRay {
+                freq_hz,
+                h_tx_m,
+                h_rx_m,
+            } => {
+                if !(h_tx_m.is_finite() && h_rx_m.is_finite()) {
+                    return Err(format!("antenna heights {h_tx_m}, {h_rx_m} not finite"));
+                }
+                freq_hz
+            }
+        };
+        if !(freq_hz.is_finite() && freq_hz > 0.0) {
+            return Err(format!("freq_hz {freq_hz} not in (0, ∞)"));
+        }
+        Ok(())
+    }
+
     /// Power gain (linear, ≤ 1 for `d` ≥ the model's near-field floor).
     ///
     /// Distances below 0.1 m are clamped: the far-field models diverge at

@@ -140,6 +140,41 @@ impl LinkConfig {
         }
     }
 
+    /// Rejects a config the link cannot simulate: an invalid PHY
+    /// ([`PhyConfig::validate`]) or path-loss model
+    /// ([`PathLoss::validate`]), a geometry distance that is negative or
+    /// not finite, or a non-finite source power or field noise level.
+    pub fn validate(&self) -> Result<(), PhyError> {
+        self.phy.validate()?;
+        let bad =
+            |field: &'static str, reason: String| Err(PhyError::InvalidConfig { field, reason });
+        let g = &self.geometry;
+        for (field, d) in [
+            ("source_dist_a_m", g.source_dist_a_m),
+            ("source_dist_b_m", g.source_dist_b_m),
+            ("device_dist_m", g.device_dist_m),
+        ] {
+            if !(d.is_finite() && d >= 0.0) {
+                return bad(field, format!("{d} not in [0, ∞)"));
+            }
+        }
+        if !g.source_power_dbm.is_finite() {
+            return bad("source_power_dbm", "must be finite".into());
+        }
+        if !self.field_noise_dbm.is_finite() {
+            return bad("field_noise_dbm", "must be finite".into());
+        }
+        for (field, model) in [
+            ("pathloss_source", &g.pathloss_source),
+            ("pathloss_device", &g.pathloss_device),
+        ] {
+            model
+                .validate()
+                .map_err(|reason| PhyError::InvalidConfig { field, reason })?;
+        }
+        Ok(())
+    }
+
     /// The same link rebuilt at a different chip rate: a copy of this
     /// config with `phy.samples_per_chip` replaced. This is how a rate
     /// switch is applied between frames — the physical scenario (geometry,
@@ -412,7 +447,7 @@ pub struct FdLink {
 impl FdLink {
     /// Builds a link; initial fading states are drawn from `rng`.
     pub fn new<R: Rng + ?Sized>(cfg: LinkConfig, rng: &mut R) -> Result<Self, PhyError> {
-        cfg.phy.validate()?;
+        cfg.validate()?;
         let g = &cfg.geometry;
         let hop_sa = Hop::new(g.pathloss_source, g.source_dist_a_m, g.fading_source, rng);
         let hop_sb = Hop::new(g.pathloss_source, g.source_dist_b_m, g.fading_source, rng);
@@ -455,7 +490,7 @@ impl FdLink {
         cfg: &LinkConfig,
         rng: &mut R,
     ) -> Result<(), PhyError> {
-        cfg.phy.validate()?;
+        cfg.validate()?;
         let g = &cfg.geometry;
         self.hop_sa = Hop::new(g.pathloss_source, g.source_dist_a_m, g.fading_source, rng);
         self.hop_sb = Hop::new(g.pathloss_source, g.source_dist_b_m, g.fading_source, rng);

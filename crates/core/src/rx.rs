@@ -372,10 +372,10 @@ impl DataReceiver {
     /// Feeds a contiguous slice of envelope samples. Bit-identical to
     /// calling [`Self::push_sample`] once per element: state transitions
     /// are honoured at every sample boundary, but while `Acquiring` the
-    /// samples go through [`Self::push_acquiring`] (lane-batched exact
-    /// scoring), and while `Receiving` the samples up
-    /// to the next chip boundary are accumulated in one run (same
-    /// summation order) instead of dispatching per sample.
+    /// samples go through the lane-batched exact preamble scan, and while
+    /// `Receiving` the samples up to the next chip boundary are
+    /// accumulated in one run (same summation order) instead of
+    /// dispatching per sample.
     pub fn push_slice(&mut self, xs: &[f64]) {
         let mut i = 0;
         while i < xs.len() {

@@ -1,10 +1,11 @@
 //! Cyclic redundancy checks.
 //!
-//! Three widths cover the stack's needs: CRC-8 guards the small per-block
-//! trailers that drive instantaneous NACK feedback (8 bits of overhead per
-//! 16-byte block keeps the early-abort scheme cheap), CRC-16/CCITT guards
-//! frame headers, and CRC-32 guards whole payloads in the packet-level ARQ
-//! baseline.
+//! The link uses one width: [`crc8`] guards the small per-block trailers
+//! that drive instantaneous NACK feedback (8 bits of overhead per 16-byte
+//! block keeps the early-abort scheme cheap) and the frame header. The
+//! receiver checks each block with [`crc8`] once its trailer has arrived.
+//! CRC-16/CCITT and CRC-32 are the wider checks a frame- or packet-level
+//! integrity check would use; `fdb-bench` times them against CRC-8.
 //!
 //! Implementations are table-free bitwise MSB-first — frame sizes here are
 //! hundreds of bytes, so table generation would cost more than it saves,
@@ -59,48 +60,6 @@ pub fn crc32_ieee(data: &[u8]) -> u32 {
     !crc
 }
 
-/// Incremental CRC-8 for streaming per-block checks (the receiver computes
-/// the block CRC bit-by-bit as data arrives so the NACK decision is ready
-/// the instant the trailer ends).
-#[derive(Debug, Clone, Copy, Default)]
-pub struct Crc8Stream {
-    crc: u8,
-}
-
-impl Crc8Stream {
-    /// Creates a fresh stream CRC (state 0).
-    pub fn new() -> Self {
-        Crc8Stream { crc: 0 }
-    }
-
-    /// Feeds one bit (MSB-first within bytes).
-    #[inline]
-    pub fn push_bit(&mut self, bit: bool) {
-        let fb = ((self.crc >> 7) & 1 == 1) ^ bit;
-        self.crc <<= 1;
-        if fb {
-            self.crc ^= 0x07;
-        }
-    }
-
-    /// Feeds one byte.
-    pub fn push_byte(&mut self, byte: u8) {
-        for i in (0..8).rev() {
-            self.push_bit((byte >> i) & 1 == 1);
-        }
-    }
-
-    /// Current CRC value.
-    pub fn value(&self) -> u8 {
-        self.crc
-    }
-
-    /// Resets to the initial state.
-    pub fn reset(&mut self) {
-        self.crc = 0;
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -150,41 +109,9 @@ mod tests {
     }
 
     #[test]
-    fn stream_crc8_matches_block_crc8() {
-        let data = b"stream equivalence test vector";
-        let mut s = Crc8Stream::new();
-        for &b in data.iter() {
-            s.push_byte(b);
-        }
-        assert_eq!(s.value(), crc8(data));
-    }
-
-    #[test]
-    fn stream_crc8_bitwise_matches() {
-        let data = [0xA5u8, 0x3C, 0xFF, 0x00, 0x81];
-        let mut s = Crc8Stream::new();
-        for &byte in &data {
-            for i in (0..8).rev() {
-                s.push_bit((byte >> i) & 1 == 1);
-            }
-        }
-        assert_eq!(s.value(), crc8(&data));
-    }
-
-    #[test]
     fn empty_input() {
         assert_eq!(crc8(&[]), 0x00);
         assert_eq!(crc16_ccitt(&[]), 0xFFFF);
         assert_eq!(crc32_ieee(&[]), 0x0000_0000);
-    }
-
-    #[test]
-    fn stream_reset() {
-        let mut s = Crc8Stream::new();
-        s.push_byte(0xDE);
-        s.reset();
-        assert_eq!(s.value(), 0);
-        s.push_byte(0x31);
-        assert_eq!(s.value(), crc8(&[0x31]));
     }
 }

@@ -67,16 +67,9 @@ pub fn hamming74_decode(cw: &[bool; 7]) -> (u8, Option<usize>) {
     (nibble, corrected)
 }
 
-/// Encodes a byte slice with Hamming(7,4): 14 coded bits per byte
-/// (high nibble first).
-pub fn hamming74_encode(data: &[u8]) -> Vec<bool> {
-    let mut out = Vec::with_capacity(data.len() * 14);
-    hamming74_encode_into(data, &mut out);
-    out
-}
-
-/// [`hamming74_encode`] appending into a caller-owned buffer (the buffer is
-/// *not* cleared first, so a frame assembler can chain sections).
+/// Encodes a byte slice with Hamming(7,4): 14 coded bits per byte (high
+/// nibble first), appended to a caller-owned buffer (the buffer is *not*
+/// cleared first, so a frame assembler can chain sections).
 pub fn hamming74_encode_into(data: &[u8], out: &mut Vec<bool>) {
     out.reserve(data.len() * 14);
     for &byte in data {
@@ -85,17 +78,10 @@ pub fn hamming74_encode_into(data: &[u8], out: &mut Vec<bool>) {
     }
 }
 
-/// Decodes a Hamming(7,4) bit stream back to bytes. Returns the decoded
-/// bytes and the number of corrected bit errors. Trailing bits that do not
-/// fill two full codewords are ignored.
-pub fn hamming74_decode_stream(bits: &[bool]) -> (Vec<u8>, usize) {
-    let mut out = Vec::with_capacity(bits.len() / 14);
-    let corrections = hamming74_decode_stream_into(bits, &mut out);
-    (out, corrections)
-}
-
-/// [`hamming74_decode_stream`] into a caller-owned buffer: `out` is cleared
-/// and refilled (capacity retained); returns the corrected-bit count.
+/// Decodes a Hamming(7,4) bit stream back to bytes in a caller-owned
+/// buffer: `out` is cleared and refilled (capacity retained). Returns the
+/// number of corrected bit errors. Trailing bits that do not fill two full
+/// codewords are ignored.
 pub fn hamming74_decode_stream_into(bits: &[bool], out: &mut Vec<u8>) -> usize {
     out.clear();
     out.reserve(bits.len() / 14);
@@ -250,12 +236,14 @@ mod tests {
     #[test]
     fn hamming_stream_round_trip_with_errors() {
         let data = b"instantaneous feedback".to_vec();
-        let mut coded = hamming74_encode(&data);
+        let mut coded = Vec::new();
+        hamming74_encode_into(&data, &mut coded);
         // One error per codeword is always correctable.
         for cw in 0..coded.len() / 7 {
             coded[cw * 7 + (cw % 7)] = !coded[cw * 7 + (cw % 7)];
         }
-        let (decoded, corrections) = hamming74_decode_stream(&coded);
+        let mut decoded = Vec::new();
+        let corrections = hamming74_decode_stream_into(&coded, &mut decoded);
         assert_eq!(decoded, data);
         assert_eq!(corrections, data.len() * 2);
     }

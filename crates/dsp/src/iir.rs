@@ -98,43 +98,6 @@ impl SinglePole {
     }
 }
 
-/// A DC-blocking filter (leaky differentiator): `y[n] = x[n] − x̄` where `x̄`
-/// tracks the input mean through a [`SinglePole`].
-///
-/// Readers use this to strip the strong unmodulated ambient carrier level
-/// before slicing the backscatter modulation.
-#[derive(Debug, Clone, Copy)]
-pub struct DcBlocker {
-    mean: SinglePole,
-}
-
-impl DcBlocker {
-    /// Creates a DC blocker whose mean tracker has time constant
-    /// `tau` seconds at sample period `dt`.
-    pub fn new(tau: f64, dt: f64) -> Self {
-        DcBlocker {
-            mean: SinglePole::from_rc(tau, dt),
-        }
-    }
-
-    /// Processes one sample: returns the AC component.
-    #[inline]
-    pub fn process(&mut self, x: f64) -> f64 {
-        let m = self.mean.process(x);
-        x - m
-    }
-
-    /// The tracked DC estimate.
-    pub fn dc(&self) -> f64 {
-        self.mean.output()
-    }
-
-    /// Resets the tracker.
-    pub fn reset(&mut self) {
-        self.mean.reset();
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -205,35 +168,5 @@ mod tests {
         let mut f = SinglePole::from_rc(0.0, 1e-6);
         assert_eq!(f.process(3.25), 3.25);
         assert_eq!(f.process(-1.0), -1.0);
-    }
-
-    #[test]
-    fn dc_blocker_removes_offset() {
-        let mut b = DcBlocker::new(1e-3, 1e-6);
-        let mut last = f64::NAN;
-        for _ in 0..20_000 {
-            last = b.process(5.0);
-        }
-        assert!(last.abs() < 1e-6, "residual DC {last}");
-        assert!((b.dc() - 5.0).abs() < 1e-6);
-    }
-
-    #[test]
-    fn dc_blocker_passes_fast_square_wave() {
-        // A fast alternating component should survive mostly intact.
-        let mut b = DcBlocker::new(1e-2, 1e-6);
-        // warm up on the DC level
-        for _ in 0..200_000 {
-            b.process(2.0);
-        }
-        let mut min = f64::MAX;
-        let mut max = f64::MIN;
-        for i in 0..2_000 {
-            let x = 2.0 + if (i / 10) % 2 == 0 { 0.5 } else { -0.5 };
-            let y = b.process(x);
-            min = min.min(y);
-            max = max.max(y);
-        }
-        assert!(max > 0.45 && min < -0.45, "swing [{min}, {max}]");
     }
 }

@@ -2,8 +2,8 @@
 //!
 //! This crate provides the signal-processing building blocks that every other
 //! crate in the workspace composes: complex baseband samples, filters, line
-//! codes, synchronisation, error detection/correction, adaptive slicers and
-//! statistics.
+//! codes, synchronisation, error detection/correction, an adaptive slicer
+//! and statistics.
 //!
 //! Everything here is deliberately simple, allocation-conscious and
 //! deterministic (smoltcp-style): filters are explicit state machines that
@@ -26,16 +26,14 @@
 //! | [`crc`] | CRC-8 / CRC-16-CCITT / CRC-32 |
 //! | [`fec`] | repetition code, Hamming(7,4), block interleaver |
 //! | [`line_code`] | NRZ-OOK, Manchester, FM0, Miller backscatter codings |
-//! | [`stats`] | BER counters, Wilson intervals, Welford, EWMA, histograms |
+//! | [`stats`] | BER counters, Wilson intervals, Welford, EWMA |
 //! | [`math`] | erf/erfc/Q, Marcum Q₁, Bessel I₀ special functions |
 //! | [`resample`] | fractional resampler (models clock-rate mismatch) |
-//! | [`agc`] | automatic gain normalisation for envelope streams |
-//! | [`threshold`] | adaptive slicers (peak-tracking and two-means) |
+//! | [`threshold`] | adaptive peak-tracking slicer |
 
 #![deny(missing_docs)]
 #![deny(unsafe_code)]
 
-pub mod agc;
 pub mod correlate;
 pub mod crc;
 pub mod envelope;

@@ -1,5 +1,5 @@
 //! Measurement statistics: BER counting with confidence intervals, running
-//! moments, EWMA trackers and simple histograms.
+//! moments and EWMA trackers.
 //!
 //! Every experiment in `fdb-bench` reports a Wilson interval alongside each
 //! BER point so that "who wins" claims in EXPERIMENTS.md are statistically
@@ -195,80 +195,6 @@ impl Ewma {
     }
 }
 
-/// Fixed-range linear histogram.
-#[derive(Debug, Clone, Serialize, Deserialize)]
-pub struct Histogram {
-    lo: f64,
-    hi: f64,
-    bins: Vec<u64>,
-    underflow: u64,
-    overflow: u64,
-}
-
-impl Histogram {
-    /// Creates a histogram over `[lo, hi)` with `bins` equal-width bins.
-    /// Degenerate ranges or zero bins are clamped to a single bin.
-    pub fn new(lo: f64, hi: f64, bins: usize) -> Self {
-        let (lo, hi) = if hi > lo { (lo, hi) } else { (lo, lo + 1.0) };
-        Histogram {
-            lo,
-            hi,
-            bins: vec![0; bins.max(1)],
-            underflow: 0,
-            overflow: 0,
-        }
-    }
-
-    /// Records a sample.
-    pub fn push(&mut self, x: f64) {
-        if x < self.lo {
-            self.underflow += 1;
-        } else if x >= self.hi {
-            self.overflow += 1;
-        } else {
-            let f = (x - self.lo) / (self.hi - self.lo);
-            let idx = ((f * self.bins.len() as f64) as usize).min(self.bins.len() - 1);
-            self.bins[idx] += 1;
-        }
-    }
-
-    /// Bin counts.
-    pub fn bins(&self) -> &[u64] {
-        &self.bins
-    }
-
-    /// Samples below range / at-or-above range.
-    pub fn out_of_range(&self) -> (u64, u64) {
-        (self.underflow, self.overflow)
-    }
-
-    /// Total samples recorded.
-    pub fn count(&self) -> u64 {
-        self.bins.iter().sum::<u64>() + self.underflow + self.overflow
-    }
-
-    /// Approximate quantile `q ∈ [0,1]` from bin midpoints; `None` if empty.
-    pub fn quantile(&self, q: f64) -> Option<f64> {
-        let total = self.count();
-        if total == 0 {
-            return None;
-        }
-        let target = (q.clamp(0.0, 1.0) * total as f64).ceil() as u64;
-        let mut cum = self.underflow;
-        if cum >= target && self.underflow > 0 {
-            return Some(self.lo);
-        }
-        let w = (self.hi - self.lo) / self.bins.len() as f64;
-        for (i, &c) in self.bins.iter().enumerate() {
-            cum += c;
-            if cum >= target {
-                return Some(self.lo + (i as f64 + 0.5) * w);
-            }
-        }
-        Some(self.hi)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -363,27 +289,5 @@ mod tests {
             v = e.push(3.0);
         }
         assert!((v - 3.0).abs() < 1e-9);
-    }
-
-    #[test]
-    fn histogram_bins_and_quantiles() {
-        let mut h = Histogram::new(0.0, 10.0, 10);
-        for i in 0..100 {
-            h.push(i as f64 / 10.0); // uniform over [0, 10)
-        }
-        assert_eq!(h.count(), 100);
-        assert!(h.bins().iter().all(|&c| c == 10));
-        let med = h.quantile(0.5).unwrap();
-        assert!((med - 4.5).abs() <= 1.0, "median {med}");
-    }
-
-    #[test]
-    fn histogram_out_of_range() {
-        let mut h = Histogram::new(0.0, 1.0, 4);
-        h.push(-5.0);
-        h.push(2.0);
-        h.push(0.5);
-        assert_eq!(h.out_of_range(), (1, 1));
-        assert_eq!(h.count(), 3);
     }
 }

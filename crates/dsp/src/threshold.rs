@@ -1,18 +1,11 @@
-//! Adaptive slicers: turning envelope levels into bits.
+//! Adaptive slicer: turning envelope levels into bits.
 //!
 //! A backscatter receiver never knows its absolute signal levels — they
 //! depend on distance, ambient power and modulation depth — so the decision
-//! threshold must be learned from the waveform itself. Two estimators are
-//! provided:
-//!
-//! * [`PeakTracker`] — leaky max/min followers; threshold at the midpoint.
-//!   Cheap (a comparator plus two RC networks in hardware), fast to acquire,
-//!   the model of what a real tag does.
-//! * [`TwoMeans`] — online 2-means clustering of levels; slightly better in
-//!   noise, the model of a reader-class device with a little more compute.
-//!
-//! Both expose the same `process → (bit, threshold)` shape so the PHY can
-//! swap them for the ablation study.
+//! threshold must be learned from the waveform itself. [`PeakTracker`] does
+//! this with leaky max/min followers and a threshold at their midpoint:
+//! cheap (a comparator plus two RC networks in hardware), fast to acquire,
+//! and the model of what a real tag does. It is the slicer the PHY uses.
 
 use serde::{Deserialize, Serialize};
 
@@ -94,105 +87,6 @@ impl PeakTracker {
     }
 }
 
-/// Online two-means slicer.
-///
-/// Keeps two centroids; each sample updates its nearest centroid with
-/// learning rate `rate`. Threshold is the centroid midpoint. Centroids are
-/// initialised from the first two samples. To avoid a centroid freezing on
-/// an outlier (a spike captures `hi`, then no sample ever crosses the
-/// inflated threshold again), both centroids also leak slowly toward the
-/// running signal mean.
-#[derive(Debug, Clone, Copy, Serialize, Deserialize)]
-pub struct TwoMeans {
-    lo: f64,
-    hi: f64,
-    rate: f64,
-    leak: f64,
-    mean: f64,
-    seen: u32,
-}
-
-impl TwoMeans {
-    /// Creates a slicer with the given centroid learning rate (e.g. 0.05).
-    pub fn new(rate: f64) -> Self {
-        let rate = rate.clamp(f64::MIN_POSITIVE, 1.0);
-        TwoMeans {
-            lo: 0.0,
-            hi: 0.0,
-            rate,
-            leak: rate * 0.02,
-            mean: 0.0,
-            seen: 0,
-        }
-    }
-
-    /// Current threshold estimate.
-    pub fn threshold(&self) -> f64 {
-        0.5 * (self.lo + self.hi)
-    }
-
-    /// Current centroids `(lo, hi)`.
-    pub fn centroids(&self) -> (f64, f64) {
-        (self.lo, self.hi)
-    }
-
-    /// Processes one envelope sample; returns the sliced bit.
-    pub fn process(&mut self, x: f64) -> bool {
-        match self.seen {
-            0 => {
-                self.lo = x;
-                self.hi = x;
-                self.mean = x;
-                self.seen = 1;
-                false
-            }
-            1 => {
-                if x >= self.lo {
-                    self.hi = x;
-                } else {
-                    self.hi = self.lo;
-                    self.lo = x;
-                }
-                self.mean = 0.5 * (self.mean + x);
-                self.seen = 2;
-                x > self.threshold()
-            }
-            _ => {
-                self.mean += self.rate * 0.1 * (x - self.mean);
-                let bit = x > self.threshold();
-                if bit {
-                    self.hi += self.rate * (x - self.hi);
-                } else {
-                    self.lo += self.rate * (x - self.lo);
-                }
-                // Anti-freeze leak: outlier-captured centroids relax back
-                // toward the signal mean until real samples recapture them.
-                self.hi += self.leak * (self.mean - self.hi);
-                self.lo += self.leak * (self.mean - self.lo);
-                // Keep ordering even under noise bursts.
-                if self.lo > self.hi {
-                    std::mem::swap(&mut self.lo, &mut self.hi);
-                }
-                bit
-            }
-        }
-    }
-
-    /// Pre-loads the centroids.
-    pub fn prime(&mut self, lo: f64, hi: f64) {
-        self.lo = lo.min(hi);
-        self.hi = hi.max(lo);
-        self.seen = 2;
-    }
-
-    /// Resets to the uninitialised state.
-    pub fn reset(&mut self) {
-        self.seen = 0;
-        self.lo = 0.0;
-        self.hi = 0.0;
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -242,62 +136,5 @@ mod tests {
             t.process(x);
         }
         assert!((t.threshold() - 0.2).abs() < 0.05, "thr {}", t.threshold());
-    }
-
-    #[test]
-    fn two_means_slices_clean_square_wave() {
-        let xs = square_wave(2000, 0.5, 1.5, 8);
-        let mut t = TwoMeans::new(0.05);
-        let mut errors = 0;
-        for (i, &x) in xs.iter().enumerate() {
-            let bit = t.process(x);
-            if i > 50 && bit != ((i / 8) % 2 == 0) {
-                errors += 1;
-            }
-        }
-        assert_eq!(errors, 0);
-        let (lo, hi) = t.centroids();
-        assert!((lo - 0.5).abs() < 0.05 && (hi - 1.5).abs() < 0.05);
-    }
-
-    #[test]
-    fn two_means_noise_robustness_beats_midpoint_of_extremes() {
-        // With rare large spikes, peak tracking overshoots while two-means
-        // stays near the true midpoint.
-        let mut xs = square_wave(5000, 1.0, 2.0, 10);
-        for i in (0..xs.len()).step_by(500) {
-            xs[i] = 10.0; // spike
-        }
-        let mut pt = PeakTracker::new(1e-4);
-        let mut tm = TwoMeans::new(0.05);
-        for &x in &xs {
-            pt.process(x);
-            tm.process(x);
-        }
-        let true_mid = 1.5;
-        assert!((tm.threshold() - true_mid).abs() < 0.3, "tm {}", tm.threshold());
-        assert!((pt.threshold() - true_mid).abs() > (tm.threshold() - true_mid).abs());
-    }
-
-    #[test]
-    fn two_means_centroid_ordering_invariant() {
-        let mut t = TwoMeans::new(0.5);
-        // Adversarial order.
-        for &x in &[5.0, 1.0, 9.0, 0.0, 7.0, 2.0] {
-            t.process(x);
-            let (lo, hi) = t.centroids();
-            assert!(lo <= hi);
-        }
-    }
-
-    #[test]
-    fn reset_restores_initial_behaviour() {
-        let mut t = TwoMeans::new(0.1);
-        t.process(1.0);
-        t.process(2.0);
-        t.reset();
-        assert_eq!(t.centroids(), (0.0, 0.0));
-        t.process(7.0); // first sample re-initialises
-        assert_eq!(t.centroids(), (7.0, 7.0));
     }
 }

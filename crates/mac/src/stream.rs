@@ -23,7 +23,7 @@ use rand::Rng;
 use serde::{Deserialize, Serialize};
 
 /// Stream header length in bytes.
-pub const HEADER_LEN: usize = 4;
+const HEADER_LEN: usize = 4;
 
 /// Flag bit marking the final segment of a stream.
 const FLAG_FINAL: u8 = 0x01;
@@ -31,14 +31,14 @@ const FLAG_FINAL: u8 = 0x01;
 const CHECK_MAGIC: u8 = 0xC3;
 
 /// Encodes a stream header.
-pub fn encode_header(seq: u16, is_final: bool) -> [u8; HEADER_LEN] {
+fn encode_header(seq: u16, is_final: bool) -> [u8; HEADER_LEN] {
     let flags = if is_final { FLAG_FINAL } else { 0 };
     let [hi, lo] = seq.to_be_bytes();
     [hi, lo, flags, lo ^ flags ^ CHECK_MAGIC]
 }
 
 /// Decodes and validates a stream header.
-pub fn decode_header(bytes: &[u8]) -> Option<(u16, bool)> {
+fn decode_header(bytes: &[u8]) -> Option<(u16, bool)> {
     if bytes.len() < HEADER_LEN {
         return None;
     }

@@ -16,7 +16,7 @@
 //!
 //! Cache interplay lives here so every transport gets it for free:
 //! untraced submissions are answered from the
-//! [`ResultStore`](crate::cache::ResultStore) when the job's content
+//! [`ResultStore`] when the job's content
 //! address is present (terminal event emitted synchronously from
 //! [`submit`](WorkerPool::submit), no queueing), and computed results are
 //! inserted on completion. Trace-streaming submissions bypass the cache

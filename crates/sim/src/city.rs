@@ -319,8 +319,15 @@ impl CityScenarioSpec {
         if !self.source_power_dbm.is_finite() {
             return bad("source_power_dbm", "must be finite".into());
         }
-        validate_pathloss("pathloss_source", &self.pathloss_source)?;
-        validate_pathloss("pathloss_device", &self.pathloss_device)
+        for (field, model) in [
+            ("pathloss_source", &self.pathloss_source),
+            ("pathloss_device", &self.pathloss_device),
+        ] {
+            model
+                .validate()
+                .map_err(|reason| PhyError::InvalidConfig { field, reason })?;
+        }
+        Ok(())
     }
 
     /// The interference/harvest geometry kernel shared with
@@ -335,44 +342,6 @@ impl CityScenarioSpec {
         cfg.pathloss_device = self.pathloss_device;
         cfg
     }
-}
-
-/// Rejects path-loss parameters the geometry kernel cannot price: a
-/// non-finite or non-positive frequency, a non-finite or negative
-/// LogDistance exponent, a non-finite reference distance or antenna
-/// height.
-fn validate_pathloss(field: &'static str, model: &PathLoss) -> Result<(), PhyError> {
-    let bad = |reason: String| Err(PhyError::InvalidConfig { field, reason });
-    let freq_hz = match *model {
-        PathLoss::FreeSpace { freq_hz } => freq_hz,
-        PathLoss::LogDistance {
-            freq_hz,
-            exponent,
-            ref_dist_m,
-        } => {
-            if !(exponent.is_finite() && exponent >= 0.0) {
-                return bad(format!("exponent {exponent} not in [0, ∞)"));
-            }
-            if !ref_dist_m.is_finite() {
-                return bad(format!("ref_dist_m {ref_dist_m} not finite"));
-            }
-            freq_hz
-        }
-        PathLoss::TwoRay {
-            freq_hz,
-            h_tx_m,
-            h_rx_m,
-        } => {
-            if !(h_tx_m.is_finite() && h_rx_m.is_finite()) {
-                return bad(format!("antenna heights {h_tx_m}, {h_rx_m} not finite"));
-            }
-            freq_hz
-        }
-    };
-    if !(freq_hz.is_finite() && freq_hz > 0.0) {
-        return bad(format!("freq_hz {freq_hz} not in (0, ∞)"));
-    }
-    Ok(())
 }
 
 /// Per-active-tag outcome ledger. Plain counters — byte-comparable for

@@ -240,7 +240,8 @@ impl JobSpec {
     /// malformed jobs are rejected at submit time, not at run time.
     pub fn validate(&self) -> Result<(), String> {
         match self {
-            JobSpec::Link { spec, .. } => {
+            JobSpec::Link { link, spec } => {
+                link.validate().map_err(|e| format!("link job: {e}"))?;
                 if spec.frames == 0 {
                     return Err("link job: spec.frames must be ≥ 1".into());
                 }
@@ -254,6 +255,11 @@ impl JobSpec {
             } => {
                 if scenarios.is_empty() {
                     return Err("matrix job: at least one scenario required".into());
+                }
+                for sc in scenarios {
+                    sc.link
+                        .validate()
+                        .map_err(|e| format!("matrix scenario '{}': {e}", sc.label))?;
                 }
                 for named in plans {
                     named

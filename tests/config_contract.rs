@@ -2,8 +2,9 @@
 //! stable — every configuration type round-trips through JSON, and the
 //! shipped example configs parse and validate.
 
+use fd_backscatter::phy::PhyError;
 use fd_backscatter::prelude::*;
-use fd_backscatter::sim::MeasureSpec;
+use fd_backscatter::sim::{JobSpec, MeasureSpec};
 
 #[test]
 fn link_config_json_round_trips() {
@@ -246,8 +247,6 @@ fn measure_spec_quick_matches_default_and_runs() {
 
 #[test]
 fn rejected_configs_surface_errors() {
-    let mut cfg = LinkConfig::default_fd();
-    cfg.phy.feedback_ratio = 3; // odd: invalid
     let spec = MeasureSpec {
         frames: 1,
         payload_len: 8,
@@ -256,5 +255,35 @@ fn rejected_configs_surface_errors() {
         trace: Default::default(),
         faults: None,
     };
-    assert!(run_link(&cfg, &spec, LinkRun::new()).is_err());
+    let cases: &[fn(&mut LinkConfig)] = &[
+        |c| c.phy.feedback_ratio = 3, // odd: invalid
+        |c| c.geometry.pathloss_device = PathLoss::FreeSpace { freq_hz: 0.0 },
+        |c| c.geometry.pathloss_device = PathLoss::FreeSpace { freq_hz: -5e8 },
+        |c| c.geometry.pathloss_device = PathLoss::FreeSpace { freq_hz: f64::NAN },
+        |c| {
+            c.geometry.pathloss_device = PathLoss::LogDistance {
+                freq_hz: 539e6,
+                exponent: -2.0,
+                ref_dist_m: 1.0,
+            }
+        },
+    ];
+    for f in cases {
+        let mut cfg = LinkConfig::default_fd();
+        f(&mut cfg);
+        assert!(
+            matches!(
+                run_link(&cfg, &spec, LinkRun::new()),
+                Err(PhyError::InvalidConfig { .. })
+            ),
+            "{:?}",
+            cfg.geometry.pathloss_device
+        );
+    }
+
+    // The job service rejects the same config at submit time.
+    let mut link = LinkConfig::default_fd();
+    link.geometry.pathloss_device = PathLoss::FreeSpace { freq_hz: 0.0 };
+    let job = JobSpec::Link { link, spec };
+    assert!(job.validate().unwrap_err().contains("freq_hz"));
 }
