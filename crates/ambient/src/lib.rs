@@ -61,6 +61,40 @@ pub enum AmbientConfig {
     },
 }
 
+impl AmbientConfig {
+    /// Checks the parameters against the ranges the models are defined
+    /// on, rather than letting [`Ambient::from_config`] silently clamp
+    /// them: TV `sps` ≥ 2, a finite wideband `k_factor` ≥ 1, an OFDM
+    /// `duty_cycle` in `(0, 1]` and a non-zero `burst_len`.
+    pub fn validate(&self) -> Result<(), String> {
+        match *self {
+            AmbientConfig::Cw => {}
+            AmbientConfig::Tv { sps } => {
+                if sps < 2 {
+                    return Err(format!("Tv.sps {sps} below 2"));
+                }
+            }
+            AmbientConfig::TvWideband { k_factor } => {
+                if !(k_factor.is_finite() && k_factor >= 1.0) {
+                    return Err(format!("TvWideband.k_factor {k_factor} not in [1, ∞)"));
+                }
+            }
+            AmbientConfig::OfdmBursty {
+                duty_cycle,
+                burst_len,
+            } => {
+                if !(duty_cycle > 0.0 && duty_cycle <= 1.0) {
+                    return Err(format!("OfdmBursty.duty_cycle {duty_cycle} not in (0, 1]"));
+                }
+                if burst_len == 0 {
+                    return Err("OfdmBursty.burst_len must be ≥ 1".into());
+                }
+            }
+        }
+        Ok(())
+    }
+}
+
 /// A running ambient source (enum dispatch over the concrete models).
 #[derive(Debug, Clone)]
 pub enum Ambient {
@@ -143,6 +177,37 @@ mod tests {
     use crate::power::closed_form;
     use rand::SeedableRng;
     use rand_chacha::ChaCha8Rng;
+
+    #[test]
+    fn validate_rejects_parameters_the_models_would_clamp() {
+        for ok in [
+            AmbientConfig::Cw,
+            AmbientConfig::Tv { sps: 2 },
+            AmbientConfig::TvWideband { k_factor: 1.0 },
+            AmbientConfig::OfdmBursty {
+                duty_cycle: 1.0,
+                burst_len: 1,
+            },
+        ] {
+            assert_eq!(ok.validate(), Ok(()), "{ok:?}");
+        }
+        for bad in [
+            AmbientConfig::Tv { sps: 1 },
+            AmbientConfig::TvWideband { k_factor: -5.0 },
+            AmbientConfig::TvWideband { k_factor: 0.5 },
+            AmbientConfig::TvWideband { k_factor: f64::NAN },
+            AmbientConfig::OfdmBursty {
+                duty_cycle: 0.0,
+                burst_len: 300,
+            },
+            AmbientConfig::OfdmBursty {
+                duty_cycle: 0.4,
+                burst_len: 0,
+            },
+        ] {
+            assert!(bad.validate().is_err(), "{bad:?} accepted");
+        }
+    }
 
     fn mean_power_and_env_var(src: &mut Ambient, n: usize) -> (f64, f64) {
         let mut rng = ChaCha8Rng::seed_from_u64(99);

@@ -44,7 +44,7 @@ impl fmt::Display for PhyError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
             PhyError::InvalidConfig { field, reason } => {
-                write!(f, "invalid PHY config: {field}: {reason}")
+                write!(f, "invalid config: {field}: {reason}")
             }
             PhyError::MalformedFrame { reason } => write!(f, "malformed frame: {reason}"),
             PhyError::PayloadTooLarge { got, max } => {
@@ -70,8 +70,7 @@ mod tests {
             field: "feedback_ratio",
             reason: "must be even".into(),
         };
-        let s = e.to_string();
-        assert!(s.contains("feedback_ratio") && s.contains("even"));
+        assert_eq!(e.to_string(), "invalid config: feedback_ratio: must be even");
         let e = PhyError::PayloadTooLarge { got: 70000, max: 65535 };
         assert!(e.to_string().contains("70000"));
     }

@@ -33,6 +33,7 @@
 
 use crate::config::PhyConfig;
 use crate::error::PhyError;
+use crate::frame::HEADER_BITS;
 use crate::rx::{DataReceiver, RxResult, RxState};
 use crate::scratch::LinkScratch;
 use crate::sic::SelfInterferenceCanceller;
@@ -172,6 +173,13 @@ impl LinkConfig {
                 .validate()
                 .map_err(|reason| PhyError::InvalidConfig { field, reason })?;
         }
+        for (field, tag) in [("tag_a", &self.tag_a), ("tag_b", &self.tag_b)] {
+            tag.validate()
+                .map_err(|reason| PhyError::InvalidConfig { field, reason })?;
+        }
+        self.ambient
+            .validate()
+            .map_err(|reason| PhyError::InvalidConfig { field: "ambient", reason })?;
         Ok(())
     }
 
@@ -1085,7 +1093,10 @@ impl FdLink {
     ///   later, so segments stay shorter than the guard;
     /// * **lock → header-accept** and **post-abort** windows, plus the
     ///   post-frame verdict tail, run fused: a header-CRC re-arm or an
-    ///   early loop exit can strike at any sample there.
+    ///   early loop exit can strike at any sample there. The one exception
+    ///   is a post-frame hunt with re-arm budget left, which stages in
+    ///   segments too short for two sync events or a header verdict, so
+    ///   no exit can fall inside one.
     ///
     /// Within a segment the physics/control pass stays per-sample (it owns
     /// the shared RNG draw order and A's abort reflex), while B's SIC →
@@ -1200,10 +1211,32 @@ impl FdLink {
         'frame: while t < max_samples {
             // ---- mode select: fused (exact per-sample) or staged -------
             let fault_active = faults.as_deref().is_some_and(|f| f.any_active_at(t));
+            // Past `total - 1` the transmitter is done, so a terminal
+            // receiver ends the loop at any sample; only a hunt with
+            // re-arm budget left stages there, in segments of at most
+            // `tail_cap` samples. Within one, at most one sync event
+            // fits: after any declaration the searcher refills a whole
+            // preamble of receiver samples, and a lock's header verdict
+            // lands a header airtime later. Half the shorter span, in B's
+            // clock, leaves room for the resampler's phase, the samples a
+            // lock replays and DLL-shortened chips. So a rejection re-arms
+            // (the budget has room for one) and no exit condition, abort
+            // aside (pass 1 handles that), becomes true inside a segment.
+            let in_tail = t + 1 >= total;
+            let tail_cap = if in_tail
+                && !b_was_locked
+                && rx.state() == RxState::Acquiring
+                && rx.sync_rejections() < phy.sync.max_rearms
+            {
+                let span = preamble_samples.min(HEADER_BITS * spb) / 2;
+                (span as f64 / b_clock_rs.ratio()) as usize
+            } else {
+                0
+            };
             let fused = fault_active
                 || (b_was_locked && !rx.header_accepted())
                 || aborted_at.is_some()
-                || t + 1 >= total;
+                || (in_tail && tail_cap == 0);
             if fused {
                 // One sample of the full reference body: every hazard the
                 // staged path defers (re-arm, fault draws, loop exits) is
@@ -1337,8 +1370,13 @@ impl FdLink {
             }
 
             // ---- staged segment: pick a hazard-free length -------------
-            // `t + 1 < total` here, so the tail/exit region is excluded.
-            let mut len = (total - 1 - t).min(SEG_MAX);
+            // Before the tail, segments stop short of `total - 1`.
+            let mut len = if in_tail {
+                (max_samples - t).min(tail_cap)
+            } else {
+                total - 1 - t
+            }
+            .min(SEG_MAX);
             if let Some(q) = t.checked_div(fade_every) {
                 let next_fade = (q + 1) * fade_every;
                 len = len.min(next_fade - t);
@@ -1464,7 +1502,7 @@ impl FdLink {
                         }
                     }
                 }
-                // The only loop exit reachable before `total - 1`: an
+                // The only loop exit reachable in a staged segment: an
                 // abort emptying the transmitter. B-side processing of the
                 // staged samples still completes below, as the reference
                 // does before its own break.
@@ -1898,6 +1936,60 @@ mod tests {
         assert!(locked > 0, "no frame locked: the grid never leaves acquisition");
         assert!(unlocked > 0, "every frame locked: the grid never hunts");
         assert!(rejections > 0, "no candidate was ever rejected");
+    }
+
+    #[test]
+    fn block_matches_reference_staged_tail() {
+        // Past `total` the block engine stages a hunt whose re-arm budget
+        // has room for one more rejection. A low admission threshold with
+        // the preamble re-decode off makes noise candidates common enough
+        // that, out of range, locks, re-arming rejections and
+        // budget-exhausting failures all land after `total` for the small
+        // budgets below.
+        let payload: Vec<u8> = (0..16u8).map(|i| i.wrapping_mul(23)).collect();
+        let mut after_total = [0usize; 3]; // locks, re-arms, failures
+        for max_rearms in [1, 2] {
+            let mut cfg = LinkConfig::default_fd();
+            cfg.geometry.device_dist_m = 2.4;
+            cfg.phy.sync_threshold = 0.35;
+            cfg.phy.sync.verify_preamble = false;
+            cfg.phy.sync.max_rearms = max_rearms;
+            for (j, opts) in [RunOptions::half_duplex(), RunOptions::fd_monitor()]
+                .iter()
+                .enumerate()
+            {
+                for seed in 1000..1008u64 {
+                    let mut rng_r = ChaCha8Rng::seed_from_u64(seed);
+                    let mut rng_b = ChaCha8Rng::seed_from_u64(seed);
+                    let mut link_r = FdLink::new(cfg.clone(), &mut rng_r).unwrap();
+                    let mut link_b = FdLink::new(cfg.clone(), &mut rng_b).unwrap();
+                    for f in 0..3 {
+                        let r = link_r
+                            .run_frame_reference(&payload, opts, &mut rng_r, None)
+                            .unwrap();
+                        let b = link_b.run_frame_block(&payload, opts, &mut rng_b, None).unwrap();
+                        let what = format!("max_rearms {max_rearms} opts {j} seed {seed} frame {f}");
+                        assert_outcomes_identical(&r, &b, &what);
+                        let timeline = link_r.scratch.rx.sync_timeline();
+                        assert_eq!(timeline, link_b.scratch.rx.sync_timeline(), "{what}: timeline");
+                        // B's clock has no offset here, so the receiver's
+                        // sample count is the frame's sample index + 1.
+                        for &(at, state) in timeline.iter().filter(|e| e.0 > r.airtime_samples) {
+                            after_total[match state {
+                                RxState::Receiving => 0,
+                                RxState::Acquiring => 1,
+                                _ => 2,
+                            }] += 1;
+                            assert!(at <= r.samples_run, "{what}: event past the run");
+                        }
+                    }
+                }
+            }
+        }
+        let [locks, rearms, failures] = after_total;
+        assert!(locks > 0, "no lock after total");
+        assert!(rearms > 0, "no re-arming rejection after total");
+        assert!(failures > 0, "no budget-exhausting failure after total");
     }
 
     #[test]

@@ -157,6 +157,9 @@ pub struct DataReceiver {
     /// completion allocation-free in steady state.
     spare_payload: Vec<u8>,
     spare_blocks: Vec<BlockStatus>,
+    /// See [`DataReceiver::sync_timeline`].
+    #[cfg(test)]
+    sync_timeline: Vec<(usize, RxState)>,
 }
 
 impl DataReceiver {
@@ -188,6 +191,8 @@ impl DataReceiver {
             verify_means: Vec::new(),
             spare_payload: Vec::new(),
             spare_blocks: Vec::new(),
+            #[cfg(test)]
+            sync_timeline: Vec::new(),
             sync_smoother: MovingAverage::new(smooth_len),
             history: RingBuf::new(hist_cap),
             slicer: PeakTracker::new(0.05),
@@ -260,6 +265,14 @@ impl DataReceiver {
         self.sync_peak
     }
 
+    /// Every committed lock and every rejection of this frame, in order:
+    /// the receiver-clock sample count at which it happened and the state
+    /// it left the receiver in.
+    #[cfg(test)]
+    pub(crate) fn sync_timeline(&self) -> &[(usize, RxState)] {
+        &self.sync_timeline
+    }
+
     /// `(score, lag)` of the successful preamble lock, if any.
     pub fn sync_lock_info(&self) -> Option<(f64, usize)> {
         self.sync_lock
@@ -323,6 +336,8 @@ impl DataReceiver {
         self.timing_debt = 0.0;
         self.samples_seen = 0;
         self.locked_at = None;
+        #[cfg(test)]
+        self.sync_timeline.clear();
         self.bits_decoded = 0;
         self.timing_corrections = 0;
         self.sync_peak = 0.0;
@@ -567,6 +582,8 @@ impl DataReceiver {
         self.locked_at = Some(self.samples_seen);
         self.nack_latch = false;
         self.state = RxState::Receiving;
+        #[cfg(test)]
+        self.sync_timeline.push((self.samples_seen, self.state));
         // Prime the slicer from the preamble's min/max levels (the flat
         // case was rejected in verification, so hi > lo here).
         let mut lo = f64::MAX;
@@ -601,6 +618,8 @@ impl DataReceiver {
         } else {
             self.rearm();
         }
+        #[cfg(test)]
+        self.sync_timeline.push((self.samples_seen, self.state));
     }
 
     /// Returns the receiver to a clean `Acquiring` state (searcher and the

@@ -62,6 +62,48 @@ impl TagConfig {
             toggle_energy_j: 1e-11,
         }
     }
+
+    /// Checks that every parameter is physical: reflection coefficients
+    /// and harvester efficiency in `[0, 1]`; time constant, noise,
+    /// hysteresis, harvester powers and energies, and loads finite and
+    /// non-negative; the clock's static error within ±100 000 ppm (the
+    /// bound a clock-drift fault has), its jitter non-negative and its
+    /// reversion in `[0, 1]`. Returns the first violation.
+    pub fn validate(&self) -> Result<(), String> {
+        let h = &self.harvester;
+        for (name, v) in [
+            ("rho", self.rho),
+            ("rho_residual", self.rho_residual),
+            ("harvester.max_efficiency", h.max_efficiency),
+            ("clock.reversion", self.clock.reversion),
+        ] {
+            if !(0.0..=1.0).contains(&v) {
+                return Err(format!("{name} {v} not in [0, 1]"));
+            }
+        }
+        for (name, v) in [
+            ("detector_tau_s", self.detector_tau_s),
+            ("detector_noise_w", self.detector_noise_w),
+            ("comparator_hysteresis_w", self.comparator_hysteresis_w),
+            ("harvester.sensitivity_w", h.sensitivity_w),
+            ("harvester.saturation_w", h.saturation_w),
+            ("harvester.storage_j", h.storage_j),
+            ("harvester.initial_j", h.initial_j),
+            ("clock.jitter_ppm", self.clock.jitter_ppm),
+            ("rx_load_w", self.rx_load_w),
+            ("logic_load_w", self.logic_load_w),
+            ("toggle_energy_j", self.toggle_energy_j),
+        ] {
+            if !(v.is_finite() && v >= 0.0) {
+                return Err(format!("{name} {v} not in [0, ∞)"));
+            }
+        }
+        let ppm = self.clock.static_ppm;
+        if !(ppm.is_finite() && ppm.abs() <= 100_000.0) {
+            return Err(format!("clock.static_ppm {ppm} not in [-100000, 100000]"));
+        }
+        Ok(())
+    }
 }
 
 /// A running tag device.
@@ -215,6 +257,33 @@ mod tests {
 
     fn tag() -> TagHardware {
         TagHardware::new(TagConfig::typical(1e-6), 1e-6)
+    }
+
+    #[test]
+    fn validate_rejects_unphysical_parameters() {
+        let ok = TagConfig::typical(1e-6);
+        assert_eq!(ok.validate(), Ok(()));
+        let rejects = |f: fn(&mut TagConfig), want: &str| {
+            let mut c = ok;
+            f(&mut c);
+            let err = c.validate().unwrap_err();
+            assert!(err.starts_with(want), "{err:?} lacks {want:?}");
+        };
+        rejects(|c| c.rho = 7.0, "rho 7 not in [0, 1]");
+        rejects(|c| c.rho_residual = -0.1, "rho_residual");
+        rejects(|c| c.detector_tau_s = -1.0, "detector_tau_s -1 not in [0, ∞)");
+        rejects(|c| c.detector_noise_w = f64::NAN, "detector_noise_w");
+        rejects(|c| c.harvester.max_efficiency = 1.5, "harvester.max_efficiency");
+        rejects(|c| c.harvester.initial_j = -1e-6, "harvester.initial_j");
+        rejects(|c| c.clock.reversion = 2.0, "clock.reversion");
+        rejects(|c| c.clock.static_ppm = 1e9, "clock.static_ppm");
+        rejects(|c| c.logic_load_w = f64::INFINITY, "logic_load_w");
+        // An ideal detector (tau 0) and a perfect clock are physical.
+        let mut edge = ok;
+        edge.detector_tau_s = 0.0;
+        edge.rho = 1.0;
+        edge.clock.static_ppm = -100_000.0;
+        assert_eq!(edge.validate(), Ok(()));
     }
 
     #[test]

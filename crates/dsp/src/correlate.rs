@@ -38,10 +38,121 @@ pub fn ncc(window: &[f64], template: &[f64]) -> f64 {
     }
 }
 
-/// Consecutive window positions [`PreambleSearcher::scan`] scores at once.
-/// Each lane is an independent accumulator chain, so the lanes fill the
-/// FP pipeline that a single serial chain leaves idle.
-const SCAN_LANES: usize = 8;
+/// Lanes of the portable [`score_lanes`] instance: the window positions
+/// one pass of the baseline kernel scores (two SSE2 registers per
+/// accumulator on x86-64). Also the narrowest group any kernel scores.
+const BASE_LANES: usize = 8;
+
+/// Widest lane group any kernel scores; [`PreambleSearcher::scan`] pads
+/// its sequence by this much.
+const MAX_LANES: usize = 32;
+
+/// Preamble scoring kernel: instances of [`score_lanes`] compiled for one
+/// register width each, picked once per process from the CPU's features,
+/// widest first. All return bit-identical scores; they differ only in
+/// speed. Lane counts were chosen by measurement on the 320-tap template
+/// of the bundled configs: more lanes than a register file holds spill,
+/// so 16 lanes pay only with AVX2 and 32 only with AVX-512.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Kernel {
+    /// Baseline codegen (SSE2 on x86-64), [`BASE_LANES`] lanes.
+    Portable,
+    /// 256-bit registers: 16 lanes.
+    #[cfg(target_arch = "x86_64")]
+    Avx2,
+    /// 512-bit registers: 32 lanes.
+    #[cfg(target_arch = "x86_64")]
+    Avx512,
+}
+
+impl Kernel {
+    /// The widest kernel this CPU runs, detected on first use and cached
+    /// for the rest of the process.
+    fn detect() -> Kernel {
+        static CHOICE: std::sync::OnceLock<Kernel> = std::sync::OnceLock::new();
+        *CHOICE.get_or_init(|| {
+            #[cfg(target_arch = "x86_64")]
+            {
+                if is_x86_feature_detected!("avx512f") {
+                    return Kernel::Avx512;
+                }
+                if is_x86_feature_detected!("avx2") {
+                    return Kernel::Avx2;
+                }
+            }
+            Kernel::Portable
+        })
+    }
+}
+
+/// Scores the `L` windows `seq[j..j + m]` (lane `j`) against `template`
+/// (`m` taps, mean `mt`, centred sum of squares `ss`), where `seq` holds
+/// at least `m + L - 1` samples in age order. Every lane keeps its own
+/// `sum`/`num`/`dw` chains and adds its terms in exactly
+/// [`PreambleSearcher::score_current`]'s order — oldest to newest,
+/// nothing reassociated, and Rust never contracts a multiply-add into an
+/// FMA — so each lane's score is bit-identical to the scalar score of the
+/// same window, whatever `L` and whatever instruction set it is compiled
+/// for.
+#[inline(always)]
+fn score_lanes<const L: usize>(template: &[f64], mt: f64, ss: f64, seq: &[f64]) -> [f64; L] {
+    let m = template.len();
+    let seq = &seq[..m + L - 1];
+    let lanes = || {
+        seq.windows(L)
+            .map(|w| <&[f64; L]>::try_from(w).expect("window of L lanes"))
+    };
+    let mut sum = [0.0f64; L];
+    for w in lanes().take(m) {
+        for (s, &x) in sum.iter_mut().zip(w) {
+            *s += x;
+        }
+    }
+    let mw = sum.map(|s| s / m as f64);
+    let mut num = [0.0f64; L];
+    let mut dw = [0.0f64; L];
+    for (w, &t) in lanes().zip(template) {
+        let b = t - mt;
+        for (((n, d), &x), &mu) in num.iter_mut().zip(&mut dw).zip(w).zip(&mw) {
+            let a = x - mu;
+            *n += a * b;
+            *d += a * a;
+        }
+    }
+    let mut out = [0.0f64; L];
+    for ((o, &n), &d) in out.iter_mut().zip(&num).zip(&dw) {
+        let den = (d * ss).sqrt();
+        *o = if den <= 0.0 { 0.0 } else { n / den };
+    }
+    out
+}
+
+/// [`score_lanes`] compiled for wider registers. Safe functions, but
+/// calling one is `unsafe` unless the CPU was checked for the feature.
+#[cfg(target_arch = "x86_64")]
+mod wide {
+    use super::score_lanes;
+
+    #[target_feature(enable = "avx2")]
+    pub(super) fn avx2<const L: usize>(
+        template: &[f64],
+        mt: f64,
+        ss: f64,
+        seq: &[f64],
+    ) -> [f64; L] {
+        score_lanes::<L>(template, mt, ss, seq)
+    }
+
+    #[target_feature(enable = "avx512f")]
+    pub(super) fn avx512<const L: usize>(
+        template: &[f64],
+        mt: f64,
+        ss: f64,
+        seq: &[f64],
+    ) -> [f64; L] {
+        score_lanes::<L>(template, mt, ss, seq)
+    }
+}
 
 /// Mean and centred sum of squares of a template, accumulated in the same
 /// index order as [`ncc`] so downstream scores stay bit-identical to it.
@@ -123,6 +234,8 @@ pub struct PreambleSearcher {
     /// Reused by [`scan`](PreambleSearcher::scan) for the window-prefix +
     /// block sequence it scores.
     seq_scratch: Vec<f64>,
+    /// The scoring kernel [`scan`](PreambleSearcher::scan) runs.
+    kernel: Kernel,
 }
 
 impl PreambleSearcher {
@@ -149,6 +262,7 @@ impl PreambleSearcher {
             peak_guard,
             last_sharpness: f64::INFINITY,
             seq_scratch: Vec::new(),
+            kernel: Kernel::detect(),
         }
     }
 
@@ -247,43 +361,45 @@ impl PreambleSearcher {
         }
     }
 
-    /// Scores the [`SCAN_LANES`] windows `seq[j..j + m]` (lane `j`), where
-    /// `seq` holds `m + SCAN_LANES - 1` samples in age order. Every lane
-    /// keeps its own `sum`/`num`/`dw` chains and adds its terms in exactly
-    /// [`score_current`](Self::score_current)'s order — oldest to newest,
-    /// nothing reassociated — so each lane's score is bit-identical to the
-    /// scalar score of the same window.
-    fn score_lanes(&self, seq: &[f64]) -> [f64; SCAN_LANES] {
-        let m = self.template.len();
-        debug_assert_eq!(seq.len(), m + SCAN_LANES - 1);
-        let lanes = || {
-            seq.windows(SCAN_LANES)
-                .map(|w| <&[f64; SCAN_LANES]>::try_from(w).expect("window of SCAN_LANES"))
-        };
-        let mut sum = [0.0f64; SCAN_LANES];
-        for w in lanes().take(m) {
-            for (s, &x) in sum.iter_mut().zip(w) {
-                *s += x;
-            }
+    /// Scores the lane group at the front of `seq` (window positions
+    /// `seq[j..j + m]`) with this searcher's kernel: its widest group
+    /// when more than half of it is still `remaining` to score, narrower
+    /// ones (down to [`BASE_LANES`]) towards the end of a slice. Writes
+    /// `out[..n]` and returns `n`, which may exceed `remaining`; `seq`
+    /// must hold at least `m + n - 1` samples.
+    #[allow(unsafe_code)]
+    #[cfg_attr(not(target_arch = "x86_64"), allow(unused_variables))]
+    fn score_group(&self, seq: &[f64], remaining: usize, out: &mut [f64; MAX_LANES]) -> usize {
+        fn put<const L: usize>(out: &mut [f64; MAX_LANES], scores: [f64; L]) -> usize {
+            out[..L].copy_from_slice(&scores);
+            L
         }
-        let mw = sum.map(|s| s / m as f64);
-        let mt = self.template_mean;
-        let mut num = [0.0f64; SCAN_LANES];
-        let mut dw = [0.0f64; SCAN_LANES];
-        for (w, &t) in lanes().zip(&self.template) {
-            let b = t - mt;
-            for (((n, d), &x), &mu) in num.iter_mut().zip(&mut dw).zip(w).zip(&mw) {
-                let a = x - mu;
-                *n += a * b;
-                *d += a * a;
-            }
+        let (t, mt, ss) = (&self.template[..], self.template_mean, self.template_ss);
+        match self.kernel {
+            Kernel::Portable => put(out, score_lanes::<BASE_LANES>(t, mt, ss, seq)),
+            // SAFETY: `Kernel::detect` returns `Avx2` only after
+            // `is_x86_feature_detected!("avx2")` returned true.
+            #[cfg(target_arch = "x86_64")]
+            Kernel::Avx2 => unsafe {
+                if remaining > 8 {
+                    put(out, wide::avx2::<16>(t, mt, ss, seq))
+                } else {
+                    put(out, wide::avx2::<8>(t, mt, ss, seq))
+                }
+            },
+            // SAFETY: `Kernel::detect` returns `Avx512` only after
+            // `is_x86_feature_detected!("avx512f")` returned true.
+            #[cfg(target_arch = "x86_64")]
+            Kernel::Avx512 => unsafe {
+                if remaining > 16 {
+                    put(out, wide::avx512::<32>(t, mt, ss, seq))
+                } else if remaining > 8 {
+                    put(out, wide::avx512::<16>(t, mt, ss, seq))
+                } else {
+                    put(out, wide::avx512::<8>(t, mt, ss, seq))
+                }
+            },
         }
-        let mut out = [0.0f64; SCAN_LANES];
-        for ((o, &n), &d) in out.iter_mut().zip(&num).zip(&dw) {
-            let den = (d * self.template_ss).sqrt();
-            *o = if den <= 0.0 { 0.0 } else { n / den };
-        }
-        out
     }
 
     /// Pushes one envelope sample.
@@ -297,7 +413,8 @@ impl PreambleSearcher {
     }
 
     /// Feeds `xs` until the first non-[`SyncEvent::Searching`] outcome,
-    /// scoring `SCAN_LANES` (8) consecutive window positions per pass.
+    /// scoring consecutive window positions in lane groups (8 to 32 per
+    /// pass, by the host's widest vector kernel).
     ///
     /// Returns `(consumed, event, peak)`: the samples consumed (all of
     /// `xs`, or up to and including the one that produced `event`), that
@@ -330,18 +447,32 @@ impl PreambleSearcher {
         // `seq[p..p + m]` is the window after pushing `rest[p]`; the zero
         // tail keeps the last lane group full width (its extra lanes are
         // never consumed).
-        let m = self.template.len();
         let mut seq = std::mem::take(&mut self.seq_scratch);
         seq.clear();
         let (s1, s2) = self.window.as_slices();
         seq.extend(s1.iter().chain(s2).skip(1));
         seq.extend_from_slice(rest);
-        seq.resize(seq.len() + SCAN_LANES - 1, 0.0);
+        seq.resize(seq.len() + MAX_LANES - 1, 0.0);
+        let mut scores = [0.0f64; MAX_LANES];
         let mut event = SyncEvent::Searching;
         let mut p = 0;
         'scan: while p < rest.len() {
-            let scores = self.score_lanes(&seq[p..p + m + SCAN_LANES - 1]);
-            for (&x, &score) in rest[p..].iter().zip(&scores) {
+            let lanes = self.score_group(&seq[p..], rest.len() - p, &mut scores);
+            let n = lanes.min(rest.len() - p);
+            let group = &scores[..n];
+            if !self.rising && !group.iter().any(|&s| s >= self.threshold) {
+                // Not rising and nothing reaches the threshold: `step`
+                // would only record each score, so record them in bulk.
+                self.window.extend_evict(&rest[p..p + n]);
+                self.scores.extend_evict(group);
+                self.last_score = group[n - 1];
+                for &s in group {
+                    peak = peak.max(s);
+                }
+                p += n;
+                continue;
+            }
+            for (&x, &score) in rest[p..p + n].iter().zip(group) {
                 self.window.push_evict(x);
                 event = self.step(score);
                 p += 1;
@@ -837,7 +968,7 @@ mod tests {
         let template = chips_to_template(&chips, 3);
         let stream = two_preamble_stream(&template);
         let s0 = gated(&template, 0.7);
-        for chunk in (1..=3 * SCAN_LANES).chain([97, stream.len()]) {
+        for chunk in (1..=3 * BASE_LANES).chain([97, stream.len()]) {
             let events = assert_scan_matches_process(&s0, &stream, chunk, false);
             assert!(has_lock(&events), "chunk {chunk}: stream never locked");
         }
@@ -846,7 +977,7 @@ mod tests {
         let template = chips_to_template(&chips, 4);
         let stream = long_hunt_stream(&template);
         let s0 = PreambleSearcher::new(template, 0.7);
-        for chunk in (1..=3 * SCAN_LANES).chain([97, 4096, stream.len()]) {
+        for chunk in (1..=3 * BASE_LANES).chain([97, 4096, stream.len()]) {
             let events = assert_scan_matches_process(&s0, &stream, chunk, false);
             assert!(has_lock(&events), "chunk {chunk}: long hunt never locked");
         }
@@ -858,7 +989,7 @@ mod tests {
         let mut stream = vec![0.5; template.len()];
         stream.extend((0..4096).map(|i| 0.5 + 0.05 * ((i as f64) * 0.7).sin()));
         let s0 = PreambleSearcher::new(template, 0.8);
-        for chunk in (1..=3 * SCAN_LANES).chain([97, stream.len()]) {
+        for chunk in (1..=3 * BASE_LANES).chain([97, stream.len()]) {
             let events = assert_scan_matches_process(&s0, &stream, chunk, false);
             assert!(events.is_empty(), "chunk {chunk}: {events:?}");
         }
@@ -869,13 +1000,128 @@ mod tests {
         assert!(!s.rising);
     }
 
+    /// Every kernel this CPU runs, the portable oracle first; prints a
+    /// skip message for each one the CPU lacks.
+    fn host_kernels() -> Vec<Kernel> {
+        #[allow(unused_mut)]
+        let mut kernels = vec![Kernel::Portable];
+        #[cfg(target_arch = "x86_64")]
+        {
+            if is_x86_feature_detected!("avx2") {
+                kernels.push(Kernel::Avx2);
+            } else {
+                eprintln!("skipped: this CPU has no AVX2, so the 16-lane kernel is not tested");
+            }
+            if is_x86_feature_detected!("avx512f") {
+                kernels.push(Kernel::Avx512);
+            } else {
+                eprintln!("skipped: this CPU has no AVX-512F, so the 32-lane kernel is not tested");
+            }
+        }
+        kernels
+    }
+
+    #[test]
+    fn detected_kernel_is_the_widest_the_host_runs() {
+        assert_eq!(Some(&Kernel::detect()), host_kernels().last());
+        let s = PreambleSearcher::new(vec![1.0, 0.0], 0.5);
+        assert_eq!(s.kernel, Kernel::detect());
+    }
+
+    #[test]
+    fn every_kernel_matches_the_portable_oracle_bit_for_bit() {
+        // Template lengths that are multiples of no lane count, plus the
+        // 320 taps of the bundled configs.
+        let chips = [1.0, 0.0, 1.0, 0.0, 1.0, 1.0, 0.0, 1.0, 0.0, 0.0, 1.0];
+        let mut x = 0.41;
+        let seq: Vec<f64> = (0..1200)
+            .map(|i| {
+                x = (x * 9301.0 + 49297.0) % 1.0;
+                // A flat stretch exercises the zero-variance branch.
+                if (500..900).contains(&i) {
+                    0.5
+                } else {
+                    0.5 + 0.1 * x
+                }
+            })
+            .collect();
+        for template in [
+            chips_to_template(&chips, 3),
+            chips_to_template(&chips, 7),
+            chips_to_template(&[1.0, 0.0, 1.0, 1.0, 0.0, 0.0, 1.0, 0.0, 1.0, 0.0], 32),
+        ] {
+            let m = template.len();
+            let oracle_searcher = PreambleSearcher::new(template.clone(), 0.7);
+            let (mt, ss) = (oracle_searcher.template_mean, oracle_searcher.template_ss);
+            // Oracle: the portable 8-lane body over consecutive groups.
+            let positions = seq.len() - m - MAX_LANES;
+            let mut want = Vec::with_capacity(positions + BASE_LANES);
+            while want.len() < positions {
+                let p = want.len();
+                want.extend(score_lanes::<BASE_LANES>(
+                    &template,
+                    mt,
+                    ss,
+                    &seq[p..p + m + BASE_LANES - 1],
+                ));
+            }
+            // Zero-variance windows score exactly 0.
+            assert!(want.contains(&0.0), "m {m}: flat stretch never scored");
+            for kernel in host_kernels() {
+                let mut s = oracle_searcher.clone();
+                s.kernel = kernel;
+                let mut out = [0.0f64; MAX_LANES];
+                // Every group width the kernel picks, from starts in every
+                // phase of every lane count.
+                for remaining in [1, 9, 17, 32] {
+                    for p in (0..positions).step_by(5) {
+                        let n = s.score_group(&seq[p..], remaining, &mut out);
+                        for (j, (&got, &w)) in out[..n].iter().zip(&want[p..]).enumerate() {
+                            assert_eq!(
+                                got.to_bits(),
+                                w.to_bits(),
+                                "{kernel:?} m {m} remaining {remaining} position {}",
+                                p + j
+                            );
+                        }
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn every_kernel_scans_like_process() {
+        let chips = [1.0, 0.0, 1.0, 0.0, 1.0, 1.0, 0.0, 1.0, 0.0, 0.0];
+        // 30 and 70 taps: multiples of no lane count.
+        for sps in [3, 7] {
+            let template = chips_to_template(&chips, sps);
+            let short = two_preamble_stream(&template);
+            let long = long_hunt_stream(&template);
+            for kernel in host_kernels() {
+                let mut s0 = gated(&template, 0.7);
+                s0.kernel = kernel;
+                for chunk in (1..=2 * MAX_LANES + 1).chain([97, short.len()]) {
+                    for rearm in [false, true] {
+                        let events = assert_scan_matches_process(&s0, &short, chunk, rearm);
+                        assert!(has_lock(&events), "{kernel:?} sps {sps} chunk {chunk}");
+                    }
+                }
+                for chunk in [7, 80, 331, long.len()] {
+                    let events = assert_scan_matches_process(&s0, &long, chunk, false);
+                    assert!(has_lock(&events), "{kernel:?} sps {sps} long hunt, chunk {chunk}");
+                }
+            }
+        }
+    }
+
     #[test]
     fn scan_refills_window_after_rearm() {
         let chips = [1.0, 0.0, 1.0, 0.0, 1.0, 1.0, 0.0, 1.0, 0.0, 0.0];
         let template = chips_to_template(&chips, 4);
         let stream = two_preamble_stream(&template);
         let s0 = gated(&template, 0.7);
-        for chunk in (1..=3 * SCAN_LANES).chain([stream.len()]) {
+        for chunk in (1..=3 * BASE_LANES).chain([stream.len()]) {
             let events = assert_scan_matches_process(&s0, &stream, chunk, true);
             let locks = events
                 .iter()
@@ -900,7 +1146,7 @@ mod tests {
         }
         stream.extend(vec![0.5; 45]);
         let s0 = gated(&template, 0.55);
-        for chunk in (1..=3 * SCAN_LANES).chain([stream.len()]) {
+        for chunk in (1..=3 * BASE_LANES).chain([stream.len()]) {
             let events = assert_scan_matches_process(&s0, &stream, chunk, false);
             assert!(
                 events.iter().any(|(_, e)| matches!(e, SyncEvent::Rejected { .. })),
@@ -920,7 +1166,7 @@ mod tests {
         stream.extend(test_stream(&template, 5));
         stream.extend(vec![0.5; 13]);
         let s0 = gated(&template, 0.7);
-        for chunk in (1..=3 * SCAN_LANES).chain([stream.len()]) {
+        for chunk in (1..=3 * BASE_LANES).chain([stream.len()]) {
             let events = assert_scan_matches_process(&s0, &stream, chunk, false);
             assert!(
                 events.iter().filter(|(_, e)| matches!(e, SyncEvent::Locked { .. })).count() >= 2,

@@ -16,12 +16,12 @@
 //! | module | contents |
 //! |--------|----------|
 //! | [`sample`] | complex IQ sample type, dB/linear and dBm/watt conversions |
-//! | [`ringbuf`] | fixed-capacity ring buffer used by windowed operators |
+//! | [`ringbuf`] | fixed-capacity ring buffer used by windowed operators, with a bulk `extend_evict` |
 //! | [`fir`] | FIR filter + root-raised-cosine tap designer |
 //! | [`iir`] | single-pole RC low-pass (the tag's detector capacitor) |
 //! | [`moving_average`] | O(1) sliding-window mean |
 //! | [`envelope`] | square-law envelope detector chain |
-//! | [`correlate`] | normalised correlation and preamble search |
+//! | [`correlate`] | normalised correlation and preamble search; lane-group scoring kernels (portable 8 lanes, AVX2 16, AVX-512F 32), picked once per process by CPU detection and bit-identical to each other |
 //! | [`prbs`] | LFSR pseudo-random binary sequences |
 //! | [`crc`] | CRC-8 / CRC-16-CCITT / CRC-32 |
 //! | [`fec`] | repetition code, Hamming(7,4), block interleaver |
@@ -30,6 +30,10 @@
 //! | [`math`] | erf/erfc/Q, Marcum Q₁, Bessel I₀ special functions |
 //! | [`resample`] | fractional resampler (models clock-rate mismatch) |
 //! | [`threshold`] | adaptive peak-tracking slicer |
+//!
+//! Unsafe code is denied crate-wide; the one exception is the kernel
+//! dispatch in [`correlate`], which calls a `#[target_feature]` kernel
+//! only after the CPU was checked for that feature.
 
 #![deny(missing_docs)]
 #![deny(unsafe_code)]

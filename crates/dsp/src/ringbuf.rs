@@ -110,6 +110,26 @@ impl<T: Copy + Default> RingBuf<T> {
         }
     }
 
+    /// Pushes every element of `xs` in order, evicting as
+    /// [`push_evict`](RingBuf::push_evict) would, in at most two slice
+    /// copies. Equivalent to calling `push_evict` on each element.
+    pub fn extend_evict(&mut self, xs: &[T]) {
+        if xs.len() >= self.cap {
+            self.buf.copy_from_slice(&xs[xs.len() - self.cap..]);
+            self.head = 0;
+            self.len = self.cap;
+            return;
+        }
+        // `wrap(len)` is the slot of the next push, full or not.
+        let start = self.wrap(self.len);
+        let first = (self.cap - start).min(xs.len());
+        self.buf[start..start + first].copy_from_slice(&xs[..first]);
+        self.buf[..xs.len() - first].copy_from_slice(&xs[first..]);
+        let overflow = (self.len + xs.len()).saturating_sub(self.cap);
+        self.head = self.wrap(overflow);
+        self.len = (self.len + xs.len()).min(self.cap);
+    }
+
     /// Element at logical index `i` (0 = oldest). `None` when out of range.
     pub fn get(&self, i: usize) -> Option<T> {
         if i < self.len {
@@ -233,6 +253,35 @@ mod tests {
                 assert_eq!(glued, r.iter().collect::<Vec<_>>(), "cap {cap} pushes {pushes}");
                 assert_eq!(a.len() + b.len(), r.len());
                 r.push_evict(pushes as i64);
+            }
+        }
+    }
+
+    #[test]
+    fn extend_evict_matches_push_evict_in_every_state() {
+        // Every capacity × prior push count × batch length, including
+        // batches longer than the ring.
+        for cap in 1..=7usize {
+            for pushes in 0..3 * cap {
+                for batch in 0..=2 * cap + 1 {
+                    let mut want: RingBuf<i64> = RingBuf::new(cap);
+                    for v in 0..pushes as i64 {
+                        want.push_evict(v);
+                    }
+                    let mut got = want.clone();
+                    let xs: Vec<i64> = (100..100 + batch as i64).collect();
+                    for &x in &xs {
+                        want.push_evict(x);
+                    }
+                    got.extend_evict(&xs);
+                    let ctx = format!("cap {cap} pushes {pushes} batch {batch}");
+                    assert_eq!(got.len(), want.len(), "{ctx}");
+                    let contents = |r: &RingBuf<i64>| r.iter().collect::<Vec<_>>();
+                    assert_eq!(contents(&got), contents(&want), "{ctx}");
+                    // The next push lands and evicts alike.
+                    assert_eq!(got.push_evict(-1), want.push_evict(-1), "{ctx}");
+                    assert_eq!(contents(&got), contents(&want), "{ctx}");
+                }
             }
         }
     }

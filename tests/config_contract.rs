@@ -267,8 +267,11 @@ fn rejected_configs_surface_errors() {
                 ref_dist_m: 1.0,
             }
         },
+        |c| c.tag_a.rho = 7.0, // a reflection coefficient above 1
+        |c| c.tag_a.detector_tau_s = -1.0,
+        |c| c.ambient = AmbientConfig::TvWideband { k_factor: -5.0 },
     ];
-    for f in cases {
+    for (i, f) in cases.iter().enumerate() {
         let mut cfg = LinkConfig::default_fd();
         f(&mut cfg);
         assert!(
@@ -276,8 +279,7 @@ fn rejected_configs_surface_errors() {
                 run_link(&cfg, &spec, LinkRun::new()),
                 Err(PhyError::InvalidConfig { .. })
             ),
-            "{:?}",
-            cfg.geometry.pathloss_device
+            "case {i} accepted"
         );
     }
 
