@@ -6,7 +6,7 @@
 
 use criterion::{black_box, criterion_group, criterion_main, Criterion, Throughput};
 use fdb_dsp::correlate::ncc;
-use fdb_dsp::crc::{crc16_ccitt, crc32_ieee, crc8};
+use fdb_dsp::crc::crc8;
 use fdb_dsp::envelope::EnvelopeDetector;
 use fdb_dsp::fir::{rrc_taps, Fir};
 use fdb_dsp::line_code::LineCode;
@@ -92,8 +92,6 @@ fn bench_crc(c: &mut Criterion) {
     let data: Vec<u8> = (0..1024u32).map(|i| (i * 31) as u8).collect();
     g.throughput(Throughput::Bytes(data.len() as u64));
     g.bench_function("crc8_1k", |b| b.iter(|| crc8(black_box(&data))));
-    g.bench_function("crc16_1k", |b| b.iter(|| crc16_ccitt(black_box(&data))));
-    g.bench_function("crc32_1k", |b| b.iter(|| crc32_ieee(black_box(&data))));
     g.finish();
 }
 

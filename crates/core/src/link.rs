@@ -337,10 +337,12 @@ pub struct FeedbackEvent {
 pub struct FrameOutcome {
     /// B's reception result (None if B never locked or header failed).
     pub delivered: Option<RxResult>,
-    /// Whether B held a committed (verified) preamble lock when the frame
-    /// ended. Candidate locks rejected by two-stage verification do not
-    /// count; a lock thrown back by a header-CRC re-arm only counts if B
-    /// re-locked afterwards.
+    /// Whether B's receiver had left `Acquiring` when the frame ended.
+    /// That is a committed (verified) preamble lock, or `Failed` once the
+    /// re-arm budget ran out: a frame whose every candidate lock was
+    /// rejected then reads `true`. A rejection with re-arms to spare
+    /// (including a header-CRC re-arm of a committed lock) returns B to
+    /// `Acquiring`, so it only reads `true` if B locked again afterwards.
     pub b_locked: bool,
     /// Candidate locks B's searcher declared during the frame (committed
     /// and rejected).
@@ -1990,6 +1992,41 @@ mod tests {
         assert!(locks > 0, "no lock after total");
         assert!(rearms > 0, "no re-arming rejection after total");
         assert!(failures > 0, "no budget-exhausting failure after total");
+    }
+
+    /// Pins what `b_locked` means today: both engines report it for a
+    /// receiver that ended the frame `Failed` with every candidate
+    /// rejected, not only for a committed lock.
+    #[test]
+    fn b_locked_includes_receivers_that_exhausted_their_rearms() {
+        let payload: Vec<u8> = (0..16u8).map(|i| i.wrapping_mul(23)).collect();
+        let mut cfg = LinkConfig::default_fd();
+        cfg.geometry.device_dist_m = 2.4;
+        cfg.phy.sync_threshold = 0.35;
+        cfg.phy.sync.verify_preamble = false;
+        cfg.phy.sync.max_rearms = 1;
+        let mut all_rejected = [0; 2]; // reference, block
+        for opts in [RunOptions::half_duplex(), RunOptions::fd_monitor()] {
+            for seed in 1000..1008u64 {
+                let mut rng = ChaCha8Rng::seed_from_u64(seed);
+                let mut link = FdLink::new(cfg.clone(), &mut rng).unwrap();
+                for f in 0..6 {
+                    let out = if f % 2 == 0 {
+                        link.run_frame_reference(&payload, &opts, &mut rng, None)
+                    } else {
+                        link.run_frame_block(&payload, &opts, &mut rng, None)
+                    }
+                    .unwrap();
+                    let state = link.scratch.rx.state();
+                    assert_eq!(out.b_locked, state != RxState::Acquiring, "seed {seed} frame {f}");
+                    if state == RxState::Failed && out.sync_rejections == out.sync_attempts {
+                        assert!(out.b_locked && out.sync_attempts > 0);
+                        all_rejected[f % 2] += 1;
+                    }
+                }
+            }
+        }
+        assert!(all_rejected.iter().all(|&n| n > 0), "{all_rejected:?}");
     }
 
     #[test]

@@ -23,7 +23,7 @@
 //! | [`envelope`] | square-law envelope detector chain |
 //! | [`correlate`] | normalised correlation and preamble search; lane-group scoring kernels (portable 8 lanes, AVX2 16, AVX-512F 32), picked once per process by CPU detection and bit-identical to each other |
 //! | [`prbs`] | LFSR pseudo-random binary sequences |
-//! | [`crc`] | CRC-8 / CRC-16-CCITT / CRC-32 |
+//! | [`crc`] | CRC-8 (block trailers, frame header) |
 //! | [`fec`] | repetition code, Hamming(7,4), block interleaver |
 //! | [`line_code`] | NRZ-OOK, Manchester, FM0, Miller backscatter codings |
 //! | [`stats`] | BER counters, Wilson intervals, Welford, EWMA |

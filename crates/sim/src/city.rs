@@ -76,6 +76,11 @@ const FRAME_STREAM: u64 = 0x43_54_59_46; // "CTYF"
 /// Salt of the per-tag ambient seed for sampled frames.
 const AMBIENT_STREAM: u64 = 0x43_54_59_41; // "CTYA"
 
+/// Largest accepted [`CityScenarioSpec::n_active`]: bounds the tag table a
+/// submitted spec can make the engine allocate, and keeps tag ids clear of
+/// the event kind packed above them in the queue.
+const MAX_ACTIVE: u32 = 1 << 24;
+
 /// How often the event loop polls cancellation / reports progress.
 const CTL_EVERY_EVENTS: u64 = 4096;
 
@@ -100,7 +105,7 @@ pub struct CityScenarioSpec {
     pub label: String,
     /// Master seed; tag `t`'s private stream is `derive_seed(seed, t)`.
     pub seed: u64,
-    /// Tags with traffic (ledgered). Tag ids `0..n_active`.
+    /// Tags with traffic (ledgered). Tag ids `0..n_active`; at most 2^24.
     pub n_active: u32,
     /// Idle tags sharing the city (ids `n_active..n_active + n_idle`).
     /// They harvest but never transmit, and by construction cost no
@@ -285,6 +290,9 @@ impl CityScenarioSpec {
         }
         if self.payload_len == 0 || self.payload_len > 4096 {
             return bad("payload_len", format!("{} not in 1..=4096", self.payload_len));
+        }
+        if self.n_active > MAX_ACTIVE {
+            return bad("n_active", format!("{} not in 0..={MAX_ACTIVE}", self.n_active));
         }
         if self.pool == 0 {
             return bad("pool", "active-link pool must hold ≥ 1 slot".into());
@@ -604,7 +612,7 @@ fn u01(v: u64) -> f64 {
 }
 
 /// The reusable event-driven engine. Construct once; [`run_into`] reuses
-/// every internal buffer (event heap, tag table, link slots, report
+/// every internal buffer (event queue, tag table, link slots, report
 /// vectors), so repeated runs of same-shaped specs allocate nothing in
 /// the event loop — the property the alloc gate pins.
 ///
@@ -685,9 +693,12 @@ impl CityEngine {
         self.tags.clear();
         self.active.clear();
         self.free_slots.clear();
-        self.slots.resize_with(spec.pool, || None);
-        self.slots.truncate(spec.pool);
-        for s in (0..spec.pool as u32).rev() {
+        // At most `n_active` links are ever in flight, so a larger pool
+        // needs no more slots (handed out lowest-first either way).
+        let n_slots = spec.pool.min(spec.n_active as usize);
+        self.slots.resize_with(n_slots, || None);
+        self.slots.truncate(n_slots);
+        for s in (0..n_slots as u32).rev() {
             self.free_slots.push(s);
         }
         self.payload.clear();
@@ -1151,17 +1162,45 @@ impl CityEngine {
 }
 
 
-/// End of an [`EventQueue`] list.
-const NIL: u32 = u32::MAX;
 /// Bucket 0 holds `tick == last`; bucket `b ≥ 1` holds ticks whose
 /// highest bit differing from `last` is bit `b − 1`.
 const BUCKETS: usize = 65;
+/// Position of the [`EventKind`] in [`Entry::tag_kind`], above the tag id
+/// (`validate` keeps tag ids below 2^24).
+const KIND_SHIFT: u32 = 30;
 
-/// One queued event, threaded into its bucket's list by `next`.
+/// One queued [`Event`] in 16 bytes: the tag id shares a word with the
+/// kind in its top two bits.
 #[derive(Debug, Clone, Copy)]
-struct QueueNode {
-    ev: Event,
-    next: u32,
+struct Entry {
+    tick: u64,
+    epoch: u32,
+    tag_kind: u32,
+}
+
+impl Entry {
+    fn pack(ev: Event) -> Self {
+        debug_assert!(ev.tag < 1 << KIND_SHIFT, "tag id overlaps the kind bits");
+        Entry {
+            tick: ev.tick,
+            epoch: ev.epoch,
+            tag_kind: (ev.kind as u32) << KIND_SHIFT | ev.tag,
+        }
+    }
+
+    fn unpack(self) -> Event {
+        Event {
+            tick: self.tick,
+            tag: self.tag_kind & ((1 << KIND_SHIFT) - 1),
+            epoch: self.epoch,
+            kind: match self.tag_kind >> KIND_SHIFT {
+                0 => EventKind::Arrival,
+                1 => EventKind::Wake,
+                2 => EventKind::Abort,
+                _ => EventKind::TxEnd,
+            },
+        }
+    }
 }
 
 /// Monotone radix queue of [`Event`]s on `tick`.
@@ -1169,22 +1208,24 @@ struct QueueNode {
 /// The event loop only ever pushes at or after the tick it last popped,
 /// which is what a radix heap needs: an event sits in the bucket of the
 /// highest bit in which its tick differs from `last`, the last popped
-/// tick. Popping drains bucket 0; when it is empty, the lowest non-empty
-/// bucket's minimum becomes `last` and that bucket is redistributed into
-/// lower ones, so each event moves at most 64 times in its life.
+/// tick. Popping drains bucket 0 through a front cursor; when it is
+/// empty, the lowest non-empty bucket's cached minimum becomes `last` and
+/// that bucket is redistributed into lower ones in one sequential pass,
+/// so each event moves at most 64 times in its life.
 ///
 /// Equal-tick events pop in push order, which keeps the schedule
 /// deterministic and extension-stable: two events with the same tick
-/// always share a bucket, each bucket is a FIFO list, and
-/// redistribution walks a list front to back, appending to the lists it
-/// feeds. All buckets thread through one node slab with a free list, so
-/// a reused queue allocates nothing.
+/// always share a bucket, each bucket is a vector in append order, and
+/// redistribution reads a bucket front to back, appending to the buckets
+/// it feeds. A drained bucket keeps its capacity, so a reused queue
+/// allocates nothing.
 struct EventQueue {
-    nodes: Vec<QueueNode>,
-    free: u32,
-    heads: [u32; BUCKETS],
-    tails: [u32; BUCKETS],
-    /// Bit `b` set iff bucket `b` is non-empty.
+    buckets: [Vec<Entry>; BUCKETS],
+    /// Smallest tick in each bucket (`u64::MAX` when empty).
+    mins: [u64; BUCKETS],
+    /// Next entry of bucket 0 to pop; the ones before it are popped.
+    front: usize,
+    /// Bit `b` set iff bucket `b` has been pushed to since it was drained.
     occupied: u128,
     last: u64,
     len: usize,
@@ -1193,10 +1234,9 @@ struct EventQueue {
 impl Default for EventQueue {
     fn default() -> Self {
         EventQueue {
-            nodes: Vec::new(),
-            free: NIL,
-            heads: [NIL; BUCKETS],
-            tails: [NIL; BUCKETS],
+            buckets: std::array::from_fn(|_| Vec::new()),
+            mins: [u64::MAX; BUCKETS],
+            front: 0,
             occupied: 0,
             last: 0,
             len: 0,
@@ -1205,93 +1245,64 @@ impl Default for EventQueue {
 }
 
 impl EventQueue {
-    /// Empties the queue, keeping the slab's capacity.
+    /// Empties the queue, keeping every bucket's capacity.
     fn clear(&mut self) {
-        let mut nodes = std::mem::take(&mut self.nodes);
-        nodes.clear();
-        *self = EventQueue {
-            nodes,
-            ..EventQueue::default()
-        };
+        self.buckets.iter_mut().for_each(Vec::clear);
+        self.mins = [u64::MAX; BUCKETS];
+        self.front = 0;
+        self.occupied = 0;
+        self.last = 0;
+        self.len = 0;
     }
 
     fn len(&self) -> usize {
         self.len
     }
 
-    fn bucket(&self, tick: u64) -> usize {
-        (u64::BITS - (tick ^ self.last).leading_zeros()) as usize
-    }
-
-    /// Appends node `n` to the tail of bucket `b`.
-    fn link(&mut self, b: usize, n: u32) {
-        self.nodes[n as usize].next = NIL;
-        match self.tails[b] {
-            NIL => self.heads[b] = n,
-            t => self.nodes[t as usize].next = n,
-        }
-        self.tails[b] = n;
+    /// Files `e` in the bucket its tick selects relative to `last`.
+    fn insert(&mut self, e: Entry) {
+        let b = (u64::BITS - (e.tick ^ self.last).leading_zeros()) as usize;
+        self.mins[b] = self.mins[b].min(e.tick);
         self.occupied |= 1 << b;
+        self.buckets[b].push(e);
     }
 
     fn push(&mut self, ev: Event) {
         debug_assert!(ev.tick >= self.last, "event pushed before the last pop");
-        let node = QueueNode { ev, next: NIL };
-        let n = if self.free == NIL {
-            self.nodes.push(node);
-            (self.nodes.len() - 1) as u32
-        } else {
-            let n = self.free;
-            self.free = self.nodes[n as usize].next;
-            self.nodes[n as usize] = node;
-            n
-        };
-        self.link(self.bucket(ev.tick), n);
+        self.insert(Entry::pack(ev));
         self.len += 1;
     }
 
     /// Pops the earliest event if its tick is ≤ `limit`; a later one
     /// stays queued.
     fn pop_through(&mut self, limit: u64) -> Option<Event> {
-        if self.heads[0] == NIL {
+        if self.front == self.buckets[0].len() {
+            self.buckets[0].clear();
+            self.front = 0;
+            self.occupied &= !1;
             // Lowest non-empty bucket: its minimum is the queue's.
             let b = self.occupied.trailing_zeros() as usize;
-            if b >= BUCKETS {
+            if b >= BUCKETS || self.mins[b] > limit {
                 return None;
             }
-            let mut min = u64::MAX;
-            let mut n = self.heads[b];
-            while n != NIL {
-                min = min.min(self.nodes[n as usize].ev.tick);
-                n = self.nodes[n as usize].next;
-            }
-            if min > limit {
-                return None;
-            }
-            self.last = min;
-            let mut n = self.heads[b];
-            self.heads[b] = NIL;
-            self.tails[b] = NIL;
+            self.last = self.mins[b];
+            self.mins[b] = u64::MAX;
             self.occupied &= !(1 << b);
-            while n != NIL {
-                let next = self.nodes[n as usize].next;
-                self.link(self.bucket(self.nodes[n as usize].ev.tick), n);
-                n = next;
+            // Every entry lands in a bucket below `b`, so the vector can
+            // be put back (empty, capacity kept) once it is read.
+            let mut moving = std::mem::take(&mut self.buckets[b]);
+            for &e in &moving {
+                self.insert(e);
             }
+            moving.clear();
+            self.buckets[b] = moving;
         } else if self.last > limit {
             return None;
         }
-        let n = self.heads[0];
-        let node = self.nodes[n as usize];
-        self.heads[0] = node.next;
-        if node.next == NIL {
-            self.tails[0] = NIL;
-            self.occupied &= !1;
-        }
-        self.nodes[n as usize].next = self.free;
-        self.free = n;
+        let e = self.buckets[0][self.front];
+        self.front += 1;
         self.len -= 1;
-        Some(node.ev)
+        Some(e.unpack())
     }
 }
 
@@ -1449,6 +1460,8 @@ mod tests {
             |s: &mut CityScenarioSpec| s.mean_interarrival_s = -1.0,
             |s: &mut CityScenarioSpec| s.payload_len = 0,
             |s: &mut CityScenarioSpec| s.payload_len = 1 << 20,
+            |s: &mut CityScenarioSpec| s.n_active = MAX_ACTIVE + 1,
+            |s: &mut CityScenarioSpec| s.n_active = u32::MAX,
             |s: &mut CityScenarioSpec| s.pool = 0,
             |s: &mut CityScenarioSpec| s.max_attempts = 0,
             |s: &mut CityScenarioSpec| s.burst_arrivals = 0,
@@ -1512,6 +1525,9 @@ mod tests {
                 "{bad:?}"
             );
         }
+        let mut largest = small_spec();
+        largest.n_active = MAX_ACTIVE;
+        largest.validate().unwrap();
         // Every shipped device model still passes.
         for model in [
             PathLoss::indoor(),
@@ -1579,60 +1595,110 @@ mod tests {
         ));
     }
 
+    /// A pool larger than the active population allocates slots only for
+    /// the population and runs exactly like a pool of that size.
+    #[test]
+    fn oversized_pool_is_sized_by_the_active_population() {
+        let mut spec = small_spec();
+        spec.pool = spec.n_active as usize;
+        let exact = CityEngine::run(&spec).unwrap();
+        // Sizing slots by `pool` would panic on capacity overflow here.
+        spec.pool = usize::MAX;
+        let mut engine = CityEngine::new();
+        let mut report = CityReport::default();
+        engine.run_into(&spec, &mut report).unwrap();
+        assert_eq!(report, exact);
+        assert_eq!(engine.slots.len(), spec.n_active as usize);
+    }
+
+    const KINDS: [EventKind; 4] = [
+        EventKind::Arrival,
+        EventKind::Wake,
+        EventKind::Abort,
+        EventKind::TxEnd,
+    ];
+
+    #[test]
+    fn entry_round_trips_the_largest_tag_id_with_every_kind() {
+        assert_eq!(std::mem::size_of::<Entry>(), 16);
+        for tag in [0, MAX_ACTIVE - 1, (1 << KIND_SHIFT) - 1] {
+            for kind in KINDS {
+                let ev = Event {
+                    tick: u64::MAX,
+                    tag,
+                    epoch: u32::MAX,
+                    kind,
+                };
+                assert_eq!(Entry::pack(ev).unpack(), ev);
+            }
+        }
+    }
+
     /// The radix queue pops exactly what a `(tick, push order)` binary
-    /// heap pops, under monotone pushes dense in equal ticks and with
-    /// limits that stop short of the next event.
+    /// heap pops, over randomised schedules: monotone pushes with deltas
+    /// up to 2^40, bursts of equal ticks, pushes at exactly the last
+    /// popped tick, and limits that stop short of the next event, also
+    /// part-way through a bucket.
     #[test]
     fn event_queue_matches_tick_then_push_order_heap() {
         use std::cmp::Reverse;
         use std::collections::BinaryHeap;
         let mut queue = EventQueue::default();
-        for round in 0..3u64 {
+        for round in 0..12u64 {
             queue.clear();
             let mut heap = BinaryHeap::new();
-            let mut seq = 0u32;
+            let mut pushed = Vec::new();
             let mut now = 0u64;
             let mut rng = derive_seed(round, 0);
             let mut next = || {
                 rng = derive_seed(rng, 1);
                 rng
             };
-            for step in 0..20_000u32 {
+            // Pop shares from 1/2 to 1/4, so queues stay short or grow.
+            let pop_every = 2 + round % 3;
+            let steps = 5_000 + next() % 20_000;
+            for _ in 0..steps {
                 let r = next();
-                if r % 3 != 0 || heap.is_empty() {
-                    // Deltas from 0 up to 2^40 (equal ticks common).
+                if r % pop_every != 0 || heap.is_empty() {
+                    // Delta 0 pushes at `now`, the last popped tick.
                     let delta = match r >> 60 {
                         0..=5 => 0,
                         6..=11 => (r >> 8) % 64,
                         _ => (r >> 8) % (1 << ((r >> 2) % 41)),
                     };
-                    let ev = Event {
-                        tick: now + delta,
-                        tag: seq,
-                        epoch: step,
-                        kind: EventKind::Wake,
-                    };
-                    queue.push(ev);
-                    heap.push(Reverse((ev.tick, seq)));
-                    seq += 1;
+                    let burst = if r % 5 == 0 { 1 + (r >> 20) % 32 } else { 1 };
+                    for _ in 0..burst {
+                        let s = next();
+                        let ev = Event {
+                            tick: now + delta,
+                            tag: (s % MAX_ACTIVE as u64) as u32,
+                            epoch: (s >> 32) as u32,
+                            kind: KINDS[(s >> 28) as usize % 4],
+                        };
+                        queue.push(ev);
+                        heap.push(Reverse((ev.tick, pushed.len())));
+                        pushed.push(ev);
+                    }
                 } else {
-                    let &Reverse((tick, tag)) = heap.peek().unwrap();
-                    let limit = if r % 7 == 0 { tick.saturating_sub(1) } else { tick };
+                    let &Reverse((tick, seq)) = heap.peek().unwrap();
+                    let limit = match r % 7 {
+                        0 => tick.saturating_sub(1 + (r >> 8) % 3),
+                        1 => tick + (r >> 8) % 1000,
+                        _ => tick,
+                    };
                     let got = queue.pop_through(limit);
                     if limit < tick {
                         assert_eq!(got, None, "popped past the limit");
                         continue;
                     }
                     heap.pop();
-                    let got = got.expect("queue ran dry before the heap");
-                    assert_eq!((got.tick, got.tag), (tick, tag));
+                    assert_eq!(got, Some(pushed[seq]));
                     now = tick;
                 }
                 assert_eq!(queue.len(), heap.len());
             }
-            while let Some(Reverse((tick, tag))) = heap.pop() {
-                let got = queue.pop_through(u64::MAX).unwrap();
-                assert_eq!((got.tick, got.tag), (tick, tag));
+            while let Some(Reverse((_, seq))) = heap.pop() {
+                assert_eq!(queue.pop_through(u64::MAX), Some(pushed[seq]));
             }
             assert_eq!(queue.pop_through(u64::MAX), None);
         }

@@ -574,5 +574,13 @@ mod tests {
         }
         .validate()
         .is_err());
+        // An unbounded tag table is refused at submit, never allocated.
+        let city = JobSpec::City {
+            spec: CityScenarioSpec {
+                n_active: u32::MAX,
+                ..CityScenarioSpec::default()
+            },
+        };
+        assert!(city.validate().unwrap_err().contains("n_active"));
     }
 }

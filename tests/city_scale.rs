@@ -243,6 +243,31 @@ fn ten_thousand_tags_one_sim_hour_within_budget() {
             report.events_processed as f64 / wall.max(1e-9),
         ),
     );
+
+    // Two more seeds, one per access mode, pinned by the digest of the
+    // full report (per-attempt records included), so any change to event
+    // order or contention scoring at 10k-tag density shows here.
+    let pinned: [(u64, AccessMode, &str); 2] = [
+        (3, AccessMode::FdCollisionDetect, "57248450bc7068a807a9157ce364e717"),
+        (4, AccessMode::Aloha, "2f009549eae0887d02b7911f8ba4145b"),
+    ];
+    let mut mismatches = Vec::new();
+    for (seed, mode, want) in pinned {
+        let spec = CityScenarioSpec {
+            seed,
+            mode,
+            log_frames: true,
+            ..spec.clone()
+        };
+        let report = CityEngine::run(&spec).unwrap_or_else(|e| panic!("seed {seed}: {e}"));
+        assert!(report.totals.conserved(), "seed {seed}: {:?}", report.totals);
+        assert!(report.totals.collisions > 0, "seed {seed}: {:?}", report.totals);
+        let got = ContentHash::of_canonical("city-10k-report", &report).to_hex();
+        if got != want {
+            mismatches.push(format!("seed {seed} {mode:?}: {got} (pinned {want})"));
+        }
+    }
+    assert!(mismatches.is_empty(), "10k report digests moved: {mismatches:#?}");
 }
 
 #[test]
