@@ -33,6 +33,7 @@ use serde::{Deserialize, Serialize, Value};
 use std::io;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::Mutex;
 
 use fdb_core::hash::ContentHash;
 use fdb_sim::{JobSpec, RunControl};
@@ -77,6 +78,10 @@ pub struct ResultStore {
     root: PathBuf,
     hits: AtomicU64,
     misses: AtomicU64,
+    /// Entries stored: one directory listing at `open`, then one more for
+    /// each new address `insert` writes. Held across `insert`'s existence
+    /// check and rename, so concurrent inserts of one job count it once.
+    entries: Mutex<u64>,
 }
 
 impl ResultStore {
@@ -84,11 +89,14 @@ impl ResultStore {
     pub fn open(root: impl Into<PathBuf>) -> io::Result<Self> {
         let root = root.into();
         std::fs::create_dir_all(&root)?;
-        Ok(ResultStore {
+        let mut store = ResultStore {
             root,
             hits: AtomicU64::new(0),
             misses: AtomicU64::new(0),
-        })
+            entries: Mutex::new(0),
+        };
+        *store.entries.get_mut().expect("fresh lock") = store.entry_paths().len() as u64;
+        Ok(store)
     }
 
     /// The store's root directory.
@@ -141,13 +149,20 @@ impl ResultStore {
             .map_err(|e| io::Error::new(io::ErrorKind::InvalidData, e.to_string()))?;
         let path = self.entry_path(&hash);
         let tmp = path.with_extension("json.tmp");
+        let mut entries = self.entries.lock().expect("entry-count lock");
+        let new = !path.exists();
         std::fs::write(&tmp, text + "\n")?;
-        std::fs::rename(&tmp, &path)
+        std::fs::rename(&tmp, &path)?;
+        *entries += new as u64;
+        Ok(())
     }
 
-    /// Number of entries currently stored.
+    /// Number of entries stored, without listing the directory: the count
+    /// taken at [`open`](ResultStore::open) plus the new addresses this
+    /// store has inserted since. Entries another process adds or deletes
+    /// show up only when the store is opened again.
     pub fn len(&self) -> u64 {
-        self.entry_paths().len() as u64
+        *self.entries.lock().expect("entry-count lock")
     }
 
     /// `true` when the store holds no entries.
@@ -334,6 +349,35 @@ mod tests {
         assert_eq!(store.hits(), 1);
         assert_eq!(store.misses(), 1);
         assert_eq!(store.len(), 1);
+    }
+
+    #[test]
+    fn entry_count_grows_only_for_new_addresses() {
+        let dir = tmpdir("count");
+        let store = ResultStore::open(&dir).unwrap();
+        assert!(store.is_empty());
+        let (a, b) = (small_job(7), small_job(8));
+        store.insert(&a, "{}", "computed").unwrap();
+        store.insert(&b, "{}", "computed").unwrap();
+        assert_eq!(store.len(), 2);
+        store.insert(&a, "{}", "computed").unwrap();
+        assert_eq!(store.len(), 2, "a re-insert counted a second entry");
+        assert_eq!(store.seed_from_golden(&repo_root()).unwrap(), 3);
+        assert_eq!(store.len(), 5);
+        // Two workers finishing the same job at once count it once.
+        let c = small_job(9);
+        let gate = std::sync::Barrier::new(2);
+        std::thread::scope(|s| {
+            for _ in 0..2 {
+                s.spawn(|| {
+                    gate.wait();
+                    store.insert(&c, "{}", "computed").unwrap();
+                });
+            }
+        });
+        assert_eq!(store.len(), 6);
+        // A fresh listing agrees with the running count.
+        assert_eq!(ResultStore::open(&dir).unwrap().len(), 6);
     }
 
     #[test]

@@ -27,7 +27,9 @@
 //!   dense O(n²) network. A pair farther apart than the victim's
 //!   [`PathLoss::reach_m`] is skipped without evaluating the kernel:
 //!   past the reach the kernel is provably below the collision
-//!   threshold, so skipping changes no outcome, only the cost.
+//!   threshold, so skipping changes no outcome, only the cost. An
+//!   occupancy grid with cells at least the largest reach skips a whole
+//!   scan when no in-flight link sits in the neighbouring cells.
 //! * Under [`CityFidelity::Sampled`], uncollided frames additionally run
 //!   the full sample-level [`FdLink`] PHY through a bounded pool of
 //!   active-link slots (each embedding the PR-9 zero-alloc
@@ -78,7 +80,9 @@ const AMBIENT_STREAM: u64 = 0x43_54_59_41; // "CTYA"
 
 /// Largest accepted [`CityScenarioSpec::n_active`]: bounds the tag table a
 /// submitted spec can make the engine allocate, and keeps tag ids clear of
-/// the event kind packed above them in the queue.
+/// the event kind packed above them in the queue. The bound is loose: a
+/// spec at the cap makes the engine reserve ~5.9 GB of tag state (352 B
+/// per tag) and its report ~1.9 GB of ledgers (112 B per `TagLedger`).
 const MAX_ACTIVE: u32 = 1 << 24;
 
 /// How often the event loop polls cancellation / reports progress.
@@ -558,6 +562,19 @@ struct LinkGeo {
 }
 
 impl LinkGeo {
+    /// The link of a tag at `pos` whose receiver sits `link_dist` along +x.
+    fn new(pos: (f64, f64), link_dist: f64, margin_amp: f64, gain_cfg: &NetworkConfig) -> Self {
+        let rx = (pos.0 + link_dist, pos.1);
+        let collision_amp = gain_cfg.pair_gain(pos, rx) * margin_amp;
+        let reach = gain_cfg.pathloss_device.reach_m(collision_amp);
+        LinkGeo {
+            pos,
+            rx,
+            collision_amp,
+            reach2: reach * reach,
+        }
+    }
+
     /// Whether a transmitter at `tx` reaches this link's receiver with at
     /// least `collision_amp`. Pairs beyond the reach skip the kernel: the
     /// squared distance is [`NetworkConfig::pair_distance`]'s own
@@ -576,6 +593,116 @@ impl LinkGeo {
 struct ActiveLink {
     tag: u32,
     geo: LinkGeo,
+}
+
+/// Relative widening of the grid cell over the largest reach, against
+/// rounding in the distance and cell arithmetic.
+const CELL_MARGIN: f64 = 1e-9;
+/// Most grid cells per link slot: with uniform links, a 3×3 query then
+/// finds a link that cannot hit in roughly 9/256 of the cases per link in
+/// flight.
+const CELLS_PER_LINK: usize = 256;
+/// Most grid cells in all, which caps the two count arrays at 2 MB.
+const MAX_CELLS: usize = 1 << 18;
+
+/// Counts of in-flight transmitters and receivers on a square grid whose
+/// cell is at least every tag's reach. A transmitter within a link's
+/// reach of its receiver is then at most one cell away on either axis,
+/// so an empty 3×3 neighbourhood proves a contention scan would find
+/// nothing, and the scan can be skipped. When any reach is not finite
+/// the grid is disabled and every query answers "maybe".
+#[derive(Default)]
+struct OccupancyGrid {
+    /// Cells per metre; 0 disables the grid.
+    inv_cell: f64,
+    cols: usize,
+    rows: usize,
+    tx: Vec<u32>,
+    rx: Vec<u32>,
+}
+
+impl OccupancyGrid {
+    /// Empties the grid and sizes it for `extent` (x, y from 0, metres),
+    /// the tags' squared reaches and `links` slots.
+    fn reset(&mut self, reach2: impl Iterator<Item = f64>, extent: (f64, f64), links: usize) {
+        let reach = reach2
+            .fold(0f64, |m, r2| {
+                if r2.is_finite() {
+                    m.max(r2)
+                } else {
+                    f64::INFINITY
+                }
+            })
+            .sqrt();
+        let side = (CELLS_PER_LINK.saturating_mul(links).min(MAX_CELLS) as f64)
+            .sqrt()
+            .floor();
+        let cell = (reach * (1.0 + CELL_MARGIN))
+            .max(extent.0 / side)
+            .max(extent.1 / side);
+        self.tx.clear();
+        self.rx.clear();
+        if !(cell > 0.0 && cell.is_finite()) {
+            self.inv_cell = 0.0;
+            return;
+        }
+        self.inv_cell = 1.0 / cell;
+        self.cols = (extent.0 * self.inv_cell) as usize + 1;
+        self.rows = (extent.1 * self.inv_cell) as usize + 1;
+        self.tx.resize(self.cols * self.rows, 0);
+        self.rx.resize(self.cols * self.rows, 0);
+    }
+
+    /// Cell column and row of `p`. Clamping to the grid keeps cells of
+    /// points at most a cell apart adjacent.
+    fn cell(&self, p: (f64, f64)) -> (usize, usize) {
+        (
+            ((p.0 * self.inv_cell) as usize).min(self.cols - 1),
+            ((p.1 * self.inv_cell) as usize).min(self.rows - 1),
+        )
+    }
+
+    fn add(&mut self, geo: &LinkGeo) {
+        if self.inv_cell > 0.0 {
+            let (t, r) = (self.index(geo.pos), self.index(geo.rx));
+            self.tx[t] += 1;
+            self.rx[r] += 1;
+        }
+    }
+
+    fn remove(&mut self, geo: &LinkGeo) {
+        if self.inv_cell > 0.0 {
+            let (t, r) = (self.index(geo.pos), self.index(geo.rx));
+            self.tx[t] -= 1;
+            self.rx[r] -= 1;
+        }
+    }
+
+    fn index(&self, p: (f64, f64)) -> usize {
+        let (x, y) = self.cell(p);
+        y * self.cols + x
+    }
+
+    /// Whether `counts` holds anything in the 3×3 cells around `p`.
+    fn near(&self, counts: &[u32], p: (f64, f64)) -> bool {
+        if self.inv_cell == 0.0 {
+            return true;
+        }
+        let (x, y) = self.cell(p);
+        let xs = x.saturating_sub(1)..(x + 2).min(self.cols);
+        (y.saturating_sub(1)..(y + 2).min(self.rows))
+            .any(|r| counts[r * self.cols..][xs.clone()].iter().any(|&c| c != 0))
+    }
+
+    /// Whether an in-flight transmitter may be within reach of `p`.
+    fn tx_near(&self, p: (f64, f64)) -> bool {
+        self.near(&self.tx, p)
+    }
+
+    /// Whether an in-flight receiver may be within reach of `p`.
+    fn rx_near(&self, p: (f64, f64)) -> bool {
+        self.near(&self.rx, p)
+    }
 }
 
 /// Per-tag live state (engine-internal).
@@ -602,6 +729,8 @@ struct TagState {
     collided: bool,
     abort_scheduled: bool,
     slot: u32,
+    /// Index of this tag's link in `CityEngine::active` while transmitting.
+    active_idx: u32,
     dead: bool,
     ledger: TagLedger,
 }
@@ -623,6 +752,8 @@ pub struct CityEngine {
     tags: Vec<TagState>,
     /// Links currently transmitting.
     active: Vec<ActiveLink>,
+    /// Where the transmitters and receivers of `active` are.
+    grid: OccupancyGrid,
     /// Sampled-fidelity link slots, lazily built (None in analytic runs).
     slots: Vec<Option<FdLink>>,
     free_slots: Vec<u32>,
@@ -728,11 +859,9 @@ impl CityEngine {
                 u01(derive_seed(pos_stream, 0)) * spec.area_m,
                 u01(derive_seed(pos_stream, 1)) * spec.area_m,
             );
-            let rx = (pos.0 + spec.link_dist_m, pos.1);
+            let geo = LinkGeo::new(pos, spec.link_dist_m, margin_amp, &gain_cfg);
             let income_w =
                 source_w * gain_cfg.source_gain(pos).powi(2) * spec.harvest_efficiency;
-            let collision_amp = gain_cfg.pair_gain(pos, rx) * margin_amp;
-            let reach = spec.pathloss_device.reach_m(collision_amp);
             let dead = income_w <= spec.duty.sleep_load_w;
             let ledger = TagLedger {
                 tag: t,
@@ -740,12 +869,7 @@ impl CityEngine {
                 ..TagLedger::default()
             };
             let mut state = TagState {
-                geo: LinkGeo {
-                    pos,
-                    rx,
-                    collision_amp,
-                    reach2: reach * reach,
-                },
+                geo,
                 income_w,
                 duty: DutyCycleController::new(spec.duty),
                 stream,
@@ -763,6 +887,7 @@ impl CityEngine {
                 collided: false,
                 abort_scheduled: false,
                 slot: u32::MAX,
+                active_idx: u32::MAX,
                 dead,
                 ledger,
             };
@@ -778,6 +903,11 @@ impl CityEngine {
             }
             self.tags.push(state);
         }
+        self.grid.reset(
+            self.tags.iter().map(|t| t.geo.reach2),
+            (spec.area_m + spec.link_dist_m, spec.area_m),
+            n_slots,
+        );
 
         // Event loop. Events past the horizon stay queued (and are
         // discarded with the queue on the next run): popping stops at the
@@ -929,7 +1059,9 @@ impl CityEngine {
         let my = self.tags[ti].geo;
         let fd = spec.mode == AccessMode::FdCollisionDetect;
         let deferred = self.active.len() >= spec.pool
-            || (fd && self.active.iter().any(|o| my.hit_by(o.geo.pos, gain_cfg)));
+            || (fd
+                && self.grid.tx_near(my.rx)
+                && self.active.iter().any(|o| my.hit_by(o.geo.pos, gain_cfg)));
         if deferred {
             let t = &mut self.tags[ti];
             t.ledger.deferrals += 1;
@@ -951,14 +1083,22 @@ impl CityEngine {
         // Start. Mark collisions in both directions against every link
         // already in flight, using the pair_coeff geometry kernel. Under
         // collision detect, carrier sense has just found no active link
-        // hitting this receiver, so only ALOHA can start collided.
+        // hitting this receiver, so only ALOHA can start collided. Both
+        // scans run only when the grid has a candidate near enough to hit.
         let end = now + frame_ticks;
-        let collided = !fd && self.active.iter().any(|o| my.hit_by(o.geo.pos, gain_cfg));
+        let collided = !fd
+            && self.grid.tx_near(my.rx)
+            && self.active.iter().any(|o| my.hit_by(o.geo.pos, gain_cfg));
         debug_assert!(
             !fd || !self.active.iter().any(|o| my.hit_by(o.geo.pos, gain_cfg)),
             "carrier sense passed a start that collides"
         );
-        for o in &self.active {
+        let marking: &[ActiveLink] = if self.grid.rx_near(my.pos) {
+            &self.active
+        } else {
+            &[]
+        };
+        for o in marking {
             if !o.geo.hit_by(my.pos, gain_cfg) {
                 continue;
             }
@@ -985,6 +1125,7 @@ impl CityEngine {
         t.collided = collided;
         t.abort_scheduled = false;
         t.slot = slot;
+        t.active_idx = self.active.len() as u32;
         t.attempts += 1;
         t.defer_streak = 0;
         t.ledger.attempts += 1;
@@ -995,6 +1136,7 @@ impl CityEngine {
             kind: EventKind::TxEnd,
         });
         self.active.push(ActiveLink { tag, geo: my });
+        self.grid.add(&my);
     }
 
     /// Finishes the in-flight attempt of `tag` at `now` (an Abort or
@@ -1016,14 +1158,17 @@ impl CityEngine {
         report: &mut CityReport,
     ) -> Result<(), PhyError> {
         let ti = tag as usize;
-        let (tx_start, collided, slot) = {
+        let (tx_start, collided, slot, k) = {
             let t = &mut self.tags[ti];
             t.transmitting = false;
             t.epoch = t.epoch.wrapping_add(1);
-            (t.tx_start, t.collided, t.slot)
+            (t.tx_start, t.collided, t.slot, t.active_idx as usize)
         };
-        if let Some(k) = self.active.iter().position(|a| a.tag == tag) {
-            self.active.swap_remove(k);
+        debug_assert_eq!(self.active[k].tag, tag, "stale active index");
+        let done = self.active.swap_remove(k);
+        self.grid.remove(&done.geo);
+        if let Some(moved) = self.active.get(k) {
+            self.tags[moved.tag as usize].active_idx = k as u32;
         }
         let dur_s = (now - tx_start) as f64 / ticks_per_s;
         let income = self.tags[ti].income_w;
@@ -1161,17 +1306,23 @@ impl CityEngine {
     }
 }
 
-
-/// Bucket 0 holds `tick == last`; bucket `b ≥ 1` holds ticks whose
-/// highest bit differing from `last` is bit `b − 1`.
-const BUCKETS: usize = 65;
+/// Bits of `tick` each queue level files on.
+const DIGIT: u32 = 6;
+/// Slots per level.
+const RADIX: usize = 1 << DIGIT;
+/// Levels covering a 64-bit tick: ten full digits and a 4-bit top one.
+const LEVELS: usize = (u64::BITS as usize).div_ceil(DIGIT as usize);
+/// Entries per storage block.
+const BLOCK: usize = 32;
+/// End of a block chain.
+const NIL: u32 = u32::MAX;
 /// Position of the [`EventKind`] in [`Entry::tag_kind`], above the tag id
 /// (`validate` keeps tag ids below 2^24).
 const KIND_SHIFT: u32 = 30;
 
 /// One queued [`Event`] in 16 bytes: the tag id shares a word with the
 /// kind in its top two bits.
-#[derive(Debug, Clone, Copy)]
+#[derive(Debug, Clone, Copy, Default)]
 struct Entry {
     tick: u64,
     epoch: u32,
@@ -1203,30 +1354,49 @@ impl Entry {
     }
 }
 
-/// Monotone radix queue of [`Event`]s on `tick`.
+/// A slot's entries: a chain of blocks read from `head[front]` up to
+/// `tail[fill]`.
+#[derive(Debug, Clone, Copy, Default)]
+struct Chain {
+    head: u32,
+    tail: u32,
+    front: u32,
+    fill: u32,
+}
+
+/// Monotone multi-level radix queue of [`Event`]s on `tick`.
 ///
-/// The event loop only ever pushes at or after the tick it last popped,
-/// which is what a radix heap needs: an event sits in the bucket of the
-/// highest bit in which its tick differs from `last`, the last popped
-/// tick. Popping drains bucket 0 through a front cursor; when it is
-/// empty, the lowest non-empty bucket's cached minimum becomes `last` and
-/// that bucket is redistributed into lower ones in one sequential pass,
-/// so each event moves at most 64 times in its life.
+/// The event loop only ever pushes at or after the tick it last popped
+/// (`last`), which is what a radix queue needs. An entry is filed by the
+/// highest 6-bit digit in which its tick differs from `last` (its level)
+/// and by its own digit there (its slot), so a level-0 slot holds a single
+/// tick and a level-`l` slot a run of 2^(6l) ticks. One occupancy word per
+/// level, and one bit per level for the words, find the earliest slot with
+/// `trailing_zeros`. Popping drains the lowest level-0 slot front to back;
+/// when level 0 is empty, the lowest slot of the lowest occupied level is
+/// scanned for its minimum tick, which becomes `last`, and the slot is
+/// redistributed into lower levels front to back. An entry so moves at
+/// most once per level, and in practice two or three times.
 ///
 /// Equal-tick events pop in push order, which keeps the schedule
 /// deterministic and extension-stable: two events with the same tick
-/// always share a bucket, each bucket is a vector in append order, and
-/// redistribution reads a bucket front to back, appending to the buckets
-/// it feeds. A drained bucket keeps its capacity, so a reused queue
-/// allocates nothing.
+/// always share a slot, slots are appended to in push order, and
+/// redistribution reads a slot front to back, appending to the slots it
+/// feeds. Slots are chains of fixed blocks of [`BLOCK`] entries drawn
+/// from one free list threaded through `next`, so memory follows the live
+/// count, and a cleared queue keeps its blocks: a reused queue allocates
+/// nothing.
 struct EventQueue {
-    buckets: [Vec<Entry>; BUCKETS],
-    /// Smallest tick in each bucket (`u64::MAX` when empty).
-    mins: [u64; BUCKETS],
-    /// Next entry of bucket 0 to pop; the ones before it are popped.
-    front: usize,
-    /// Bit `b` set iff bucket `b` has been pushed to since it was drained.
-    occupied: u128,
+    blocks: Vec<[Entry; BLOCK]>,
+    /// The block after each block in its slot's chain, or in the free list.
+    next: Vec<u32>,
+    /// First free block, or [`NIL`].
+    free: u32,
+    chains: [[Chain; RADIX]; LEVELS],
+    /// Bit `s` of word `l` set iff slot `s` of level `l` holds entries.
+    occupied: [u64; LEVELS],
+    /// Bit `l` set iff `occupied[l] != 0`.
+    levels: u32,
     last: u64,
     len: usize,
 }
@@ -1234,10 +1404,12 @@ struct EventQueue {
 impl Default for EventQueue {
     fn default() -> Self {
         EventQueue {
-            buckets: std::array::from_fn(|_| Vec::new()),
-            mins: [u64::MAX; BUCKETS],
-            front: 0,
-            occupied: 0,
+            blocks: Vec::new(),
+            next: Vec::new(),
+            free: NIL,
+            chains: [[Chain::default(); RADIX]; LEVELS],
+            occupied: [0; LEVELS],
+            levels: 0,
             last: 0,
             len: 0,
         }
@@ -1245,12 +1417,18 @@ impl Default for EventQueue {
 }
 
 impl EventQueue {
-    /// Empties the queue, keeping every bucket's capacity.
+    /// Empties the queue, returning every block to the free list.
     fn clear(&mut self) {
-        self.buckets.iter_mut().for_each(Vec::clear);
-        self.mins = [u64::MAX; BUCKETS];
-        self.front = 0;
-        self.occupied = 0;
+        let n = self.next.len() as u32;
+        for (b, next) in self.next.iter_mut().enumerate() {
+            *next = b as u32 + 1;
+        }
+        if let Some(end) = self.next.last_mut() {
+            *end = NIL;
+        }
+        self.free = if n == 0 { NIL } else { 0 };
+        self.occupied = [0; LEVELS];
+        self.levels = 0;
         self.last = 0;
         self.len = 0;
     }
@@ -1259,12 +1437,53 @@ impl EventQueue {
         self.len
     }
 
-    /// Files `e` in the bucket its tick selects relative to `last`.
+    /// A block from the free list, or a new one.
+    fn alloc_block(&mut self) -> u32 {
+        let b = self.free;
+        if b == NIL {
+            self.blocks.push([Entry::default(); BLOCK]);
+            self.next.push(NIL);
+            return self.next.len() as u32 - 1;
+        }
+        self.free = self.next[b as usize];
+        self.next[b as usize] = NIL;
+        b
+    }
+
+    fn release_block(&mut self, b: u32) {
+        self.next[b as usize] = self.free;
+        self.free = b;
+    }
+
+    /// Appends `e` to the slot its tick selects relative to `last`.
     fn insert(&mut self, e: Entry) {
-        let b = (u64::BITS - (e.tick ^ self.last).leading_zeros()) as usize;
-        self.mins[b] = self.mins[b].min(e.tick);
-        self.occupied |= 1 << b;
-        self.buckets[b].push(e);
+        // `| 1` files `tick == last` at level 0 with the other ticks that
+        // differ from `last` in the lowest digit only.
+        let high_bit = u64::BITS - 1 - ((e.tick ^ self.last) | 1).leading_zeros();
+        let level = (high_bit / DIGIT) as usize;
+        // At most 60, so the shift is in range for the top, partial digit.
+        let slot = (e.tick >> (level as u32 * DIGIT)) as usize % RADIX;
+        let bit = 1u64 << slot;
+        if self.occupied[level] & bit == 0 {
+            let b = self.alloc_block();
+            self.chains[level][slot] = Chain {
+                head: b,
+                tail: b,
+                front: 0,
+                fill: 0,
+            };
+            self.occupied[level] |= bit;
+            self.levels |= 1 << level;
+        } else if self.chains[level][slot].fill == BLOCK as u32 {
+            let b = self.alloc_block();
+            let chain = &mut self.chains[level][slot];
+            self.next[chain.tail as usize] = b;
+            chain.tail = b;
+            chain.fill = 0;
+        }
+        let chain = &mut self.chains[level][slot];
+        self.blocks[chain.tail as usize][chain.fill as usize] = e;
+        chain.fill += 1;
     }
 
     fn push(&mut self, ev: Event) {
@@ -1273,34 +1492,80 @@ impl EventQueue {
         self.len += 1;
     }
 
+    /// Calls `f` on the entries of `chain` in order; with `release`, each
+    /// block goes back to the free list once read.
+    fn walk(&mut self, chain: Chain, release: bool, mut f: impl FnMut(&mut Self, Entry)) {
+        let mut b = chain.head;
+        let mut i = chain.front;
+        loop {
+            let end = if b == chain.tail {
+                chain.fill
+            } else {
+                BLOCK as u32
+            };
+            while i < end {
+                let e = self.blocks[b as usize][i as usize];
+                f(self, e);
+                i += 1;
+            }
+            let next = self.next[b as usize];
+            if release {
+                self.release_block(b);
+            }
+            if b == chain.tail {
+                return;
+            }
+            b = next;
+            i = 0;
+        }
+    }
+
     /// Pops the earliest event if its tick is ≤ `limit`; a later one
-    /// stays queued.
+    /// stays queued and `last` is left alone.
     fn pop_through(&mut self, limit: u64) -> Option<Event> {
-        if self.front == self.buckets[0].len() {
-            self.buckets[0].clear();
-            self.front = 0;
-            self.occupied &= !1;
-            // Lowest non-empty bucket: its minimum is the queue's.
-            let b = self.occupied.trailing_zeros() as usize;
-            if b >= BUCKETS || self.mins[b] > limit {
+        if self.occupied[0] == 0 {
+            if self.levels == 0 {
                 return None;
             }
-            self.last = self.mins[b];
-            self.mins[b] = u64::MAX;
-            self.occupied &= !(1 << b);
-            // Every entry lands in a bucket below `b`, so the vector can
-            // be put back (empty, capacity kept) once it is read.
-            let mut moving = std::mem::take(&mut self.buckets[b]);
-            for &e in &moving {
-                self.insert(e);
+            // The lowest slot of the lowest occupied level holds the
+            // queue's minimum.
+            let level = self.levels.trailing_zeros() as usize;
+            let slot = self.occupied[level].trailing_zeros() as usize;
+            let chain = self.chains[level][slot];
+            let mut min = u64::MAX;
+            self.walk(chain, false, |_, e| min = min.min(e.tick));
+            if min > limit {
+                return None;
             }
-            moving.clear();
-            self.buckets[b] = moving;
-        } else if self.last > limit {
+            self.last = min;
+            self.occupied[level] &= !(1 << slot);
+            if self.occupied[level] == 0 {
+                self.levels &= !(1 << level);
+            }
+            // Every entry now differs from `last` below `level` only.
+            self.walk(chain, true, Self::insert);
+        }
+        let slot = self.occupied[0].trailing_zeros() as usize;
+        let chain = &mut self.chains[0][slot];
+        let e = self.blocks[chain.head as usize][chain.front as usize];
+        if e.tick > limit {
             return None;
         }
-        let e = self.buckets[0][self.front];
-        self.front += 1;
+        chain.front += 1;
+        if chain.head == chain.tail && chain.front == chain.fill {
+            let b = chain.head;
+            self.release_block(b);
+            self.occupied[0] &= !(1 << slot);
+            if self.occupied[0] == 0 {
+                self.levels &= !1;
+            }
+        } else if chain.front == BLOCK as u32 {
+            let b = chain.head;
+            chain.head = self.next[b as usize];
+            chain.front = 0;
+            self.release_block(b);
+        }
+        self.last = e.tick;
         self.len -= 1;
         Some(e.unpack())
     }
@@ -1636,41 +1901,57 @@ mod tests {
 
     /// The radix queue pops exactly what a `(tick, push order)` binary
     /// heap pops, over randomised schedules: monotone pushes with deltas
-    /// up to 2^40, bursts of equal ticks, pushes at exactly the last
-    /// popped tick, and limits that stop short of the next event, also
-    /// part-way through a bucket.
+    /// up to 2^40 (2^62 in the high rounds), bursts of equal ticks, pushes
+    /// at exactly the last popped tick, and limits that stop short of the
+    /// next event, also inside the tick range of a level ≥ 1 slot. The
+    /// high rounds start at or above 2^60 and run up to `u64::MAX − 7`,
+    /// so the partial top digit is filed, found and redistributed.
     #[test]
     fn event_queue_matches_tick_then_push_order_heap() {
         use std::cmp::Reverse;
         use std::collections::BinaryHeap;
+        const TOP: u64 = u64::MAX - 7;
         let mut queue = EventQueue::default();
-        for round in 0..12u64 {
+        let mut saw_top_level = false;
+        for round in 0..24u64 {
             queue.clear();
             let mut heap = BinaryHeap::new();
             let mut pushed = Vec::new();
-            let mut now = 0u64;
             let mut rng = derive_seed(round, 0);
             let mut next = || {
                 rng = derive_seed(rng, 1);
                 rng
             };
+            let high = round >= 12;
+            let mut now = match round % 4 {
+                _ if !high => 0,
+                0 => 1 << 60,
+                1 => (1 << 60) + next() % (1 << 62),
+                2 => u64::MAX - (1 << 41),
+                _ => TOP - next() % 1000,
+            };
             // Pop shares from 1/2 to 1/4, so queues stay short or grow.
             let pop_every = 2 + round % 3;
             let steps = 5_000 + next() % 20_000;
+            let mut fresh_none = false;
             for _ in 0..steps {
                 let r = next();
-                if r % pop_every != 0 || heap.is_empty() {
-                    // Delta 0 pushes at `now`, the last popped tick.
+                if r % pop_every != 0 || heap.is_empty() || fresh_none {
+                    // Delta 0 pushes at `now`, the last popped tick; one
+                    // always follows a `None`, which must not move it.
                     let delta = match r >> 60 {
+                        _ if fresh_none => 0,
                         0..=5 => 0,
                         6..=11 => (r >> 8) % 64,
+                        _ if high => (r >> 8) % (1 << ((r >> 2) % 63)),
                         _ => (r >> 8) % (1 << ((r >> 2) % 41)),
                     };
+                    fresh_none = false;
                     let burst = if r % 5 == 0 { 1 + (r >> 20) % 32 } else { 1 };
                     for _ in 0..burst {
                         let s = next();
                         let ev = Event {
-                            tick: now + delta,
+                            tick: now.saturating_add(delta).min(TOP),
                             tag: (s % MAX_ACTIVE as u64) as u32,
                             epoch: (s >> 32) as u32,
                             kind: KINDS[(s >> 28) as usize % 4],
@@ -1680,15 +1961,21 @@ mod tests {
                         pushed.push(ev);
                     }
                 } else {
+                    saw_top_level |= (queue.levels >> (LEVELS - 1)) & 1 == 1;
                     let &Reverse((tick, seq)) = heap.peek().unwrap();
                     let limit = match r % 7 {
                         0 => tick.saturating_sub(1 + (r >> 8) % 3),
-                        1 => tick + (r >> 8) % 1000,
+                        // Anywhere from the last pop to just below the next
+                        // event: inside a level ≥ 1 slot's tick range when
+                        // level 0 is empty.
+                        1 if tick > now => now + (r >> 8) % (tick - now),
+                        2 => tick.saturating_add((r >> 8) % 1000),
                         _ => tick,
                     };
                     let got = queue.pop_through(limit);
                     if limit < tick {
                         assert_eq!(got, None, "popped past the limit");
+                        fresh_none = true;
                         continue;
                     }
                     heap.pop();
@@ -1701,6 +1988,161 @@ mod tests {
                 assert_eq!(queue.pop_through(u64::MAX), Some(pushed[seq]));
             }
             assert_eq!(queue.pop_through(u64::MAX), None);
+        }
+        assert!(saw_top_level, "no schedule reached the top level");
+    }
+
+    /// Memory follows the live count: draining a large wave returns its
+    /// blocks and later waves reuse them, and a cleared queue replays a
+    /// wave without a new block.
+    #[test]
+    fn event_queue_reuses_drained_blocks() {
+        let mut queue = EventQueue::default();
+        let wave = |queue: &mut EventQueue, base: u64| {
+            for i in 0..10_000u64 {
+                queue.push(Event {
+                    tick: base + (i * 7919) % 65_536,
+                    tag: i as u32,
+                    epoch: 0,
+                    kind: EventKind::Arrival,
+                });
+            }
+            while queue.pop_through(u64::MAX).is_some() {}
+        };
+        // Full blocks for the live entries, one partial block per slot,
+        // and the block being redistributed.
+        let bound = 10_000 / BLOCK + LEVELS * RADIX + 1;
+        wave(&mut queue, 0);
+        let blocks = queue.blocks.len();
+        for round in 1..8 {
+            wave(&mut queue, round << 20);
+            assert!(queue.blocks.len() <= bound, "{} blocks", queue.blocks.len());
+        }
+        let mut fresh = EventQueue::default();
+        wave(&mut fresh, 0);
+        fresh.clear();
+        wave(&mut fresh, 0);
+        assert_eq!(fresh.blocks.len(), blocks, "a cleared queue grew");
+    }
+
+    /// An empty 3×3 neighbourhood never hides a contention hit, for
+    /// random active sets and probe links with mixed reaches, points on
+    /// cell edges and at the area border, and probes placed just inside
+    /// an active link's reach. A model whose reach is infinite disables
+    /// the grid.
+    #[test]
+    fn occupancy_grid_never_hides_a_hit() {
+        let models = [
+            PathLoss::FreeSpace { freq_hz: 539e6 },
+            PathLoss::indoor(),
+            PathLoss::TwoRay {
+                freq_hz: 539e6,
+                h_tx_m: 0.5,
+                h_rx_m: 0.25,
+            },
+            // A negative crossover: `reach_m` is infinite.
+            PathLoss::TwoRay {
+                freq_hz: 539e6,
+                h_tx_m: -0.5,
+                h_rx_m: 0.25,
+            },
+        ];
+        for (mi, model) in models.into_iter().enumerate() {
+            let spec = CityScenarioSpec {
+                area_m: 6.0,
+                pathloss_device: model,
+                ..small_spec()
+            };
+            let gain_cfg = spec.gain_config();
+            let margin_amp = 10f64.powf(-spec.collision_margin_db / 20.0);
+            let extent = (spec.area_m + 1.0, spec.area_m);
+            let mut rng = derive_seed(mi as u64, 0x47_52_49_44);
+            let mut u = || {
+                rng = derive_seed(rng, 1);
+                u01(rng)
+            };
+            let (mut hits, mut skipped) = (0u32, 0u32);
+            for round in 0..40 {
+                let links = 1 + round % 16;
+                let dists: Vec<f64> = (0..48).map(|_| 0.2 + 0.8 * u()).collect();
+                let reach2: Vec<f64> = dists
+                    .iter()
+                    .map(|&d| LinkGeo::new((0.0, 0.0), d, margin_amp, &gain_cfg).reach2)
+                    .collect();
+                let finite = reach2.iter().all(|r2| r2.is_finite());
+                let mut grid = OccupancyGrid::default();
+                grid.reset(reach2.iter().copied(), extent, links);
+                assert_eq!(grid.inv_cell == 0.0, !finite, "{model:?}");
+                let cell = if finite { 1.0 / grid.inv_cell } else { 1.0 };
+                let coord = |u: &mut dyn FnMut() -> f64| match (u() * 4.0) as u32 {
+                    // A cell edge, or the float on either side of it.
+                    0 => {
+                        let edge = (u() * spec.area_m / cell).floor() * cell;
+                        [edge, edge.next_down().max(0.0), edge.next_up()][(u() * 3.0) as usize]
+                    }
+                    // The area border.
+                    1 => [0.0, spec.area_m.next_down()][(u() * 2.0) as usize],
+                    _ => u() * spec.area_m,
+                };
+                let geos: Vec<LinkGeo> = dists
+                    .iter()
+                    .map(|&d| {
+                        LinkGeo::new((coord(&mut u), coord(&mut u)), d, margin_amp, &gain_cfg)
+                    })
+                    .collect();
+                let active = &geos[..links];
+                for geo in active {
+                    grid.add(geo);
+                }
+                let mut probes = geos[links..].to_vec();
+                // Probes just inside an active link's reach, both ways,
+                // along each axis (straddling the cell edges some active
+                // links sit on) and at a random angle. The probe link has
+                // the largest reach, which sets the cell.
+                let widest = (0..dists.len()).max_by(|&a, &b| reach2[a].total_cmp(&reach2[b]));
+                let d = dists[widest.unwrap()];
+                let my_reach = reach2[widest.unwrap()].sqrt();
+                for o in active {
+                    let theta = u() * std::f64::consts::TAU;
+                    for (c, s) in [
+                        (1.0, 0.0),
+                        (-1.0, 0.0),
+                        (0.0, 1.0),
+                        (0.0, -1.0),
+                        (theta.cos(), theta.sin()),
+                    ] {
+                        // `reach_m` sits 1e-6 past the true threshold.
+                        let r = my_reach * (1.0 - 1e-5);
+                        if r.is_finite() {
+                            let rx = (o.pos.0 + r * c, o.pos.1 + r * s);
+                            probes.push(LinkGeo::new((rx.0 - d, rx.1), d, margin_amp, &gain_cfg));
+                        }
+                        let r = o.reach2.sqrt() * (1.0 - 1e-5);
+                        if r.is_finite() {
+                            let pos = (o.rx.0 + r * c, o.rx.1 + r * s);
+                            probes.push(LinkGeo::new(pos, d, margin_amp, &gain_cfg));
+                        }
+                    }
+                }
+                for my in &probes {
+                    let sensed = active.iter().any(|o| my.hit_by(o.pos, &gain_cfg));
+                    let marks = active.iter().any(|o| o.hit_by(my.pos, &gain_cfg));
+                    hits += sensed as u32 + marks as u32;
+                    for (near, hit) in
+                        [(grid.tx_near(my.rx), sensed), (grid.rx_near(my.pos), marks)]
+                    {
+                        assert!(near || !hit, "{model:?}: grid hid a hit on {my:?}");
+                        assert!(near || finite, "{model:?}: disabled grid said no");
+                        skipped += !near as u32;
+                    }
+                }
+                for geo in active {
+                    grid.remove(geo);
+                }
+                assert!(grid.tx.iter().chain(&grid.rx).all(|&c| c == 0));
+            }
+            assert!(hits > 0, "{model:?}: no contention exercised");
+            assert_eq!(skipped > 0, mi < 3, "{model:?}: {skipped} scans skipped");
         }
     }
 

@@ -194,30 +194,35 @@ mod tests {
 
     #[test]
     fn skewed_costs_are_stolen_not_chunked() {
+        use std::sync::{Condvar, Mutex};
         let cores = std::thread::available_parallelism().map(|p| p.get()).unwrap_or(1);
         if cores < 2 {
             return; // stealing is unobservable on one core
         }
-        // Point 0 is orders of magnitude more expensive than the rest.
+        // Point 0 is slow: it holds its worker until the seven cheap points
+        // are done, however late the OS starts the other worker. The wait
+        // is bounded, so chunking fails the test instead of hanging it.
+        let cheap_done = (Mutex::new(0usize), Condvar::new());
         let points: Vec<usize> = (0..8).collect();
         let out = parallel_sweep(&points, 2, |&p| {
-            let iters: u64 = if p == 0 { 20_000_000 } else { 1 };
-            let mut acc = p as u64;
-            for _ in 0..iters {
-                acc = acc.wrapping_mul(6364136223846793005).wrapping_add(1);
+            let (count, cv) = &cheap_done;
+            let mut n = count.lock().expect("counter lock");
+            if p == 0 {
+                let timeout = std::time::Duration::from_secs(5);
+                drop(cv.wait_timeout_while(n, timeout, |n| *n < 7).expect("counter lock"));
+            } else {
+                *n += 1;
+                cv.notify_all();
             }
-            // Keeps the optimiser from deleting the spin loop, which would
-            // make the "slow" point as cheap as the rest.
-            std::hint::black_box(acc);
             (std::thread::current().id(), p)
         });
         // Input order preserved regardless of scheduling.
         for (i, &(_, p)) in out.iter().enumerate() {
             assert_eq!(i, p);
         }
-        // Static chunking would trap 4 of the 8 points behind the slow
-        // one; with work-stealing the other worker drains them while the
-        // slow worker is pinned.
+        // Static chunking would trap points 1–3 behind the slow one; with
+        // work-stealing the other worker drains them while the slow worker
+        // is pinned.
         let slow_tid = out[0].0;
         let handled_by_slow = out.iter().filter(|&&(tid, _)| tid == slow_tid).count();
         assert!(
