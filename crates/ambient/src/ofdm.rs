@@ -8,7 +8,7 @@
 //! with OFF gaps sized to hit a configured duty cycle, with the active
 //! amplitude scaled so the long-run mean power is 1.
 
-use crate::power::gaussian;
+use fdb_dsp::math::randn;
 use fdb_dsp::Iq;
 use rand::Rng;
 use serde::{Deserialize, Serialize};
@@ -79,8 +79,8 @@ impl OfdmBurstySource {
         if self.active {
             let s = (self.active_power / 2.0).sqrt();
             Iq::new(
-                s * gaussian(rng),
-                s * gaussian(rng),
+                s * randn(rng),
+                s * randn(rng),
             )
         } else {
             Iq::ZERO

@@ -18,6 +18,7 @@
 //! and a good moment match for shaped broadcast signals). This is the
 //! **bandwidth substitution** recorded in DESIGN.md.
 
+use fdb_dsp::math::randn;
 use rand::Rng;
 
 /// A `Gamma(shape, scale = 1/shape)` sampler — unit mean, variance
@@ -67,7 +68,7 @@ impl UnitGamma {
     fn squeeze<R: Rng + ?Sized>(&self, rng: &mut R) -> f64 {
         let (d, c) = (self.d, self.c);
         loop {
-            let x = gaussian(rng);
+            let x = randn(rng);
             let v = (1.0 + c * x).powi(3);
             if v <= 0.0 {
                 continue;
@@ -84,19 +85,11 @@ impl UnitGamma {
     }
 }
 
-/// Draws one standard normal sample (Box–Muller, second output discarded),
-/// the same transform as `fdb_channel::randn`.
-pub(crate) fn gaussian<R: Rng + ?Sized>(rng: &mut R) -> f64 {
-    let u1: f64 = rng.gen_range(f64::MIN_POSITIVE..1.0);
-    let u2: f64 = rng.gen_range(0.0..1.0);
-    (-2.0 * u1.ln()).sqrt() * (2.0 * std::f64::consts::PI * u2).cos()
-}
-
 /// The per-draw Marsaglia–Tsang closed form (`d` and `c` recomputed on
 /// every call) that tests pin [`UnitGamma`] against, bit for bit.
 #[cfg(test)]
 pub(crate) mod closed_form {
-    use super::gaussian;
+    use fdb_dsp::math::randn;
     use rand::Rng;
 
     pub(crate) fn gamma_unit_mean<R: Rng + ?Sized>(rng: &mut R, shape: f64) -> f64 {
@@ -112,7 +105,7 @@ pub(crate) mod closed_form {
         let d = shape - 1.0 / 3.0;
         let c = 1.0 / (9.0 * d).sqrt();
         loop {
-            let x = gaussian(rng);
+            let x = randn(rng);
             let v = (1.0 + c * x).powi(3);
             if v <= 0.0 {
                 continue;

@@ -24,15 +24,15 @@
 //!   [`fdb_core::trace::TraceEvent`] per line, then a `summary` object.
 //!   The fastest way to see *where* inside the PHY pipeline a frame dies.
 //!   With `--trace-out PATH` the events stream to a JSONL file (with
-//!   frame markers) instead of stdout. Needs the `trace` feature (on by
-//!   default for this crate).
+//!   frame markers) instead of stdout. Needs a build with
+//!   `--features fdb-core/trace`; other builds exit 2.
 //! * `sync` — per-frame two-stage acquisition counters (candidate locks,
-//!   rejections, peak correlation) plus a closing summary. Works without
-//!   the `trace` feature; the CI smoke check for lock discrimination.
+//!   rejections, peak correlation) plus a closing summary. Works in every
+//!   build; the CI smoke check for lock discrimination.
 //! * `link` — aggregate [`fdb_sim::LinkMetrics`] for a batch; with
 //!   `--trace-out PATH` every frame's events stream to a JSONL file
-//!   through a `JsonlFileSink` at constant resident memory (needs the
-//!   `trace` feature).
+//!   through a `JsonlFileSink` at constant resident memory (needs
+//!   `fdb-core/trace`; other builds refuse the sink).
 //! * `mac` — runs an adaptive-vs-oblivious [`fdb_sim::AblationPair`]:
 //!   one JSON line per session slot per arm, then a summary with both
 //!   goodputs and the achieved margin. Exits non-zero when the margin is
@@ -267,16 +267,15 @@ fn main() {
         Mode::Serve => serve_cmd(&args),
         Mode::Submit => submit_cmd(&args),
         Mode::Replay => {
-            #[cfg(feature = "trace")]
-            trace_frame(&args);
-            #[cfg(not(feature = "trace"))]
-            {
+            if !fdb_core::trace::ENABLED {
                 eprintln!(
-                    "probe was built without the `trace` feature; rebuild with default \
-                     features (or use sync/link/matrix/--validate-trace)"
+                    "probe was built without `fdb-core/trace`, so its engine cannot trace; \
+                     rebuild with `--features fdb-core/trace` \
+                     (or use sync/link/matrix/--validate-trace)"
                 );
                 std::process::exit(2);
             }
+            trace_frame(&args);
         }
     }
 }
@@ -437,9 +436,8 @@ fn clone_args(args: &Args) -> Args {
     }
 }
 
-#[cfg(feature = "trace")]
 fn trace_frame(args: &Args) {
-    use fdb_core::trace::{JsonlFileSink, TraceSink};
+    use fdb_core::trace::{JsonlFileSink, RingSink, TraceSink};
     use serde::Serialize;
 
     #[derive(Serialize)]
@@ -479,52 +477,51 @@ fn trace_frame(args: &Args) {
     let plan = args.faults.as_deref().map(load_fault_plan);
     let mut frame_faults = plan.as_ref().and_then(|p| p.frame_faults(0));
 
-    let (out, trace_events, trace_dropped) = match &args.trace_out {
-        Some(path) => {
-            if args.stage.is_some() {
-                eprintln!("--stage filters stdout output only; ignored with --trace-out");
-            }
-            let mut sink = JsonlFileSink::create(path)
-                .unwrap_or_else(|e| {
-                    eprintln!("cannot create {path}: {e}");
-                    std::process::exit(2);
-                })
-                .with_frame_cap(frame_cap);
-            sink.begin_frame(0);
-            let out = link
-                .run_frame_with(
-                    &payload,
-                    &opts,
-                    &mut rng,
-                    FrameRun::faulted(frame_faults.as_mut()).with_sink(&mut sink),
-                )
-                .expect("frame");
-            sink.end_frame();
-            let summary = sink.finish().unwrap_or_else(|e| {
+    // The frame's events go through a caller-owned sink: a JSONL file
+    // with --trace-out, else an in-memory ring printed to stdout.
+    if args.trace_out.is_some() && args.stage.is_some() {
+        eprintln!("--stage filters stdout output only; ignored with --trace-out");
+    }
+    let mut file = args.trace_out.as_ref().map(|path| {
+        JsonlFileSink::create(path)
+            .unwrap_or_else(|e| {
+                eprintln!("cannot create {path}: {e}");
+                std::process::exit(2);
+            })
+            .with_frame_cap(frame_cap)
+    });
+    let mut ring = RingSink::new(frame_cap);
+    let sink: &mut dyn TraceSink = match file.as_mut() {
+        Some(file) => file,
+        None => &mut ring,
+    };
+    sink.begin_frame(0);
+    let out = link
+        .run_frame_with(
+            &payload,
+            &opts,
+            &mut rng,
+            FrameRun::faulted(frame_faults.as_mut()).with_sink(sink),
+        )
+        .expect("frame");
+    sink.end_frame();
+    let (trace_events, trace_dropped) = match file {
+        Some(file) => {
+            let summary = file.finish().unwrap_or_else(|e| {
                 eprintln!("trace sink failed: {e}");
                 std::process::exit(1);
             });
-            (out, summary.events as usize, summary.dropped as usize)
+            (summary.events as usize, summary.dropped as usize)
         }
         None => {
-            let out = link
-                .run_frame_with(
-                    &payload,
-                    &opts,
-                    &mut rng,
-                    FrameRun::faulted(frame_faults.as_mut()),
-                )
-                .expect("frame");
-            for ev in out.trace.events() {
-                if let Some(stage) = &args.stage {
-                    if ev.stage() != stage {
-                        continue;
-                    }
+            let trace = ring.trace();
+            for ev in trace.events() {
+                if args.stage.as_deref().is_some_and(|stage| ev.stage() != stage) {
+                    continue;
                 }
                 println!("{}", serde_json::to_string(ev).expect("event serializes"));
             }
-            let (n, d) = (out.trace.len(), out.trace.dropped());
-            (out, n, d)
+            (trace.len(), trace.dropped())
         }
     };
 
@@ -549,8 +546,8 @@ fn trace_frame(args: &Args) {
 }
 
 /// Per-frame two-stage acquisition report: one JSON line per frame with
-/// the sync attempt/rejection counters, then a `summary` line. Needs no
-/// trace feature — everything comes off the [`fdb_core::link::FrameOutcome`].
+/// the sync attempt/rejection counters, then a `summary` line. Works in
+/// every build — everything comes off the [`fdb_core::link::FrameOutcome`].
 fn sync_report(args: &Args) {
     use serde::Serialize;
 

@@ -16,7 +16,6 @@
 #![deny(missing_docs)]
 
 pub mod experiments;
-pub mod fault_matrix;
 
 use fdb_sim::report::Table;
 use std::path::PathBuf;

@@ -5,7 +5,7 @@
 //! envelope-detection receivers in this stack are wideband, so the relevant
 //! noise power is `kTB·F` over the detector bandwidth.
 
-use crate::randn;
+use fdb_dsp::math::randn;
 use fdb_dsp::sample::{dbm_to_watts, watts_to_dbm};
 use fdb_dsp::Iq;
 use rand::Rng;
@@ -120,7 +120,7 @@ mod tests {
         }
         // RNG must not be consumed when off.
         let mut rng2 = ChaCha8Rng::seed_from_u64(12);
-        assert_eq!(crate::randn(&mut rng), crate::randn(&mut rng2));
+        assert_eq!(randn(&mut rng), randn(&mut rng2));
     }
 
     #[test]

@@ -33,21 +33,9 @@ pub use impairment::{FaultActivations, FaultEffects, FaultKind, FaultTarget, Fra
 pub use link::Hop;
 pub use pathloss::PathLoss;
 
+use fdb_dsp::math::randn;
 use fdb_dsp::Iq;
 use rand::Rng;
-
-/// Draws one standard normal sample (Box–Muller transform).
-///
-/// The second Box–Muller output is intentionally discarded to keep the
-/// consumer's RNG stream position independent of call history. `fdb-ambient`
-/// and `fdb-device` do not depend on this crate; each keeps one crate-private
-/// copy of the same transform (`fdb_ambient::power::gaussian`,
-/// `fdb_device::gaussian`).
-pub fn randn<R: Rng + ?Sized>(rng: &mut R) -> f64 {
-    let u1: f64 = rng.gen_range(f64::MIN_POSITIVE..1.0);
-    let u2: f64 = rng.gen_range(0.0..1.0);
-    (-2.0 * u1.ln()).sqrt() * (2.0 * std::f64::consts::PI * u2).cos()
-}
 
 /// Draws a circularly-symmetric complex Gaussian with total variance
 /// `var` (i.e. `var/2` per component).
@@ -60,23 +48,6 @@ pub fn randcn<R: Rng + ?Sized>(rng: &mut R, var: f64) -> Iq {
 mod tests {
     use super::*;
     use rand::SeedableRng;
-
-    #[test]
-    fn randn_moments() {
-        let mut rng = rand_chacha::ChaCha8Rng::seed_from_u64(1);
-        let n = 200_000;
-        let mut mean = 0.0;
-        let mut var = 0.0;
-        for _ in 0..n {
-            let x = randn(&mut rng);
-            mean += x;
-            var += x * x;
-        }
-        mean /= n as f64;
-        var = var / n as f64 - mean * mean;
-        assert!(mean.abs() < 0.01, "mean {mean}");
-        assert!((var - 1.0).abs() < 0.02, "var {var}");
-    }
 
     #[test]
     fn randcn_variance_split() {

@@ -44,9 +44,13 @@
 //!
 //! ## Feature flags
 //!
-//! * `trace` — [`link::FdLink::run_frame`] records a [`trace::FrameTrace`]
-//!   of per-stage events onto each [`link::FrameOutcome`]. Off by default;
-//!   when disabled the hot loop contains no tracing code at all.
+//! * `trace` — [`link::FdLink::run_frame`] takes the per-sample reference
+//!   engine and records a [`trace::FrameTrace`] of per-stage events onto
+//!   each [`link::FrameOutcome`]. Off by default; when disabled the block
+//!   engine runs, its hot loop contains no tracing code at all, and runs
+//!   that attach a sink are refused ([`trace::ENABLED`]). This is the
+//!   workspace's only `trace` feature: the crates above compile their sink
+//!   plumbing in every build and check [`trace::ENABLED`] at run time.
 
 #![deny(missing_docs)]
 #![deny(unsafe_code)]
@@ -71,3 +75,26 @@ pub use error::PhyError;
 pub use link::{FdLink, FrameOutcome, FrameRun, LinkConfig, LinkGeometry};
 pub use scratch::LinkScratch;
 pub use seed::derive_seed;
+
+#[cfg(test)]
+mod tests {
+    /// The workspace manifest compiles this crate (and the other simulator
+    /// crates) at `opt-level = 2` in the dev profile. Optimisation must not
+    /// cost test builds their checks: under the dev profile (binaries in a
+    /// `debug` directory) `debug_assert!` fires and integer overflow
+    /// panics, and in every profile the two checks agree.
+    #[test]
+    fn optimised_dev_profile_keeps_debug_checks() {
+        let panics = |f: fn()| std::panic::catch_unwind(f).is_err();
+        let debug_assert_fires = panics(|| debug_assert!(std::hint::black_box(false)));
+        let overflow_panics = panics(|| {
+            std::hint::black_box(std::hint::black_box(u8::MAX) + 1);
+        });
+        assert_eq!(debug_assert_fires, cfg!(debug_assertions));
+        assert_eq!(overflow_panics, debug_assert_fires, "overflow checks disagree");
+        let exe = std::env::current_exe().expect("test binary path");
+        if exe.ancestors().any(|dir| dir.file_name() == Some("debug".as_ref())) {
+            assert!(debug_assert_fires, "dev-profile test build lost debug assertions");
+        }
+    }
+}

@@ -37,8 +37,9 @@ use crate::frame::HEADER_BITS;
 use crate::rx::{DataReceiver, RxResult, RxState};
 use crate::scratch::LinkScratch;
 use crate::sic::SelfInterferenceCanceller;
+use crate::trace::TraceSink;
 #[cfg(feature = "trace")]
-use crate::trace::{FrameTrace, RingSink, TraceEvent, TraceSink};
+use crate::trace::{FrameTrace, RingSink, TraceEvent};
 use crate::tx::DataTransmitter;
 use fdb_ambient::{Ambient, AmbientConfig};
 use fdb_channel::awgn::Awgn;
@@ -279,8 +280,9 @@ pub struct FrameRun<'a> {
     /// Caller-owned trace sink receiving the frame's diagnostic events
     /// instead of the outcome's in-memory ring (`FrameOutcome::trace`
     /// stays an empty placeholder). The caller owns frame bracketing:
-    /// call `sink.begin_frame` / `sink.end_frame` around the run.
-    #[cfg(feature = "trace")]
+    /// call `sink.begin_frame` / `sink.end_frame` around the run. Builds
+    /// whose engine cannot trace ([`crate::trace::ENABLED`] is `false`)
+    /// refuse the frame with [`PhyError::TraceSink`].
     pub sink: Option<&'a mut dyn TraceSink>,
 }
 
@@ -292,16 +294,11 @@ impl<'a> FrameRun<'a> {
 
     /// A frame with an optional fault schedule attached.
     pub fn faulted(faults: Option<&'a mut FrameFaults>) -> Self {
-        FrameRun {
-            faults,
-            #[cfg(feature = "trace")]
-            sink: None,
-        }
+        FrameRun { faults, sink: None }
     }
 
     /// Streams the frame's diagnostic events into `sink` instead of the
     /// outcome's in-memory ring.
-    #[cfg(feature = "trace")]
     pub fn with_sink(mut self, sink: &'a mut dyn TraceSink) -> Self {
         self.sink = Some(sink);
         self
@@ -412,6 +409,18 @@ impl Default for FrameOutcome {
 }
 
 impl FrameOutcome {
+    /// The outcome's own event ring, which `run_frame` fills when no sink
+    /// is attached; `None` unless the engine traces
+    /// ([`crate::trace::ENABLED`]).
+    pub fn ring_trace(&self) -> Option<&crate::trace::FrameTrace> {
+        #[cfg(feature = "trace")]
+        {
+            Some(&self.trace)
+        }
+        #[cfg(not(feature = "trace"))]
+        None
+    }
+
     /// Count of correctly delivered blocks.
     pub fn blocks_ok(&self) -> usize {
         self.delivered
@@ -533,7 +542,7 @@ impl FdLink {
     /// Runs one frame through the link.
     ///
     /// With the `trace` feature on, the frame's diagnostic events land in a
-    /// fresh bounded [`RingSink`] (capacity from
+    /// fresh bounded [`crate::trace::RingSink`] (capacity from
     /// `PhyConfig::trace_ring_capacity`) attached as `FrameOutcome::trace`.
     /// Use [`run_frame_with`](FdLink::run_frame_with) to attach a fault
     /// schedule and/or stream the events elsewhere instead.
@@ -548,8 +557,9 @@ impl FdLink {
 
     /// Runs one frame with the [`FrameRun`] attachments: an optional
     /// scripted impairment schedule injected into the channel path, and
-    /// (under the `trace` feature) an optional caller-owned trace sink
-    /// replacing the outcome's in-memory ring.
+    /// an optional caller-owned trace sink replacing the outcome's
+    /// in-memory ring (refused with [`PhyError::TraceSink`] unless
+    /// [`crate::trace::ENABLED`]).
     ///
     /// Faults draw randomness only from the [`FrameFaults`] engine's own
     /// deterministic generator, never from `rng`, so the main stream's
@@ -578,6 +588,11 @@ impl FdLink {
     /// warmup, re-running with the same `out` performs no heap allocation.
     /// Every field of `out` is overwritten; stale state never leaks into
     /// the new frame's result.
+    ///
+    /// An attached sink is refused with [`PhyError::TraceSink`] unless the
+    /// engine traces ([`trace::ENABLED`](crate::trace::ENABLED)). Callers
+    /// that drive `FdLink` directly have no per-run check, so this guard is
+    /// per frame: one `is_some` test, compiled out of trace builds.
     pub fn run_frame_into<R: Rng + ?Sized>(
         &mut self,
         payload: &[u8],
@@ -586,6 +601,11 @@ impl FdLink {
         run: FrameRun<'_>,
         out: &mut FrameOutcome,
     ) -> Result<(), PhyError> {
+        if run.sink.is_some() && !crate::trace::ENABLED {
+            return Err(PhyError::TraceSink {
+                reason: "a trace sink was attached, but this build lacks `fdb-core/trace`".into(),
+            });
+        }
         // Trace builds take the per-sample reference pipeline — its probes
         // poll the receiver at every sample, which the block pipeline by
         // design does not. Non-trace builds take the block pipeline; both

@@ -58,9 +58,13 @@
 //! `fdb_sim::MeasureSpec`), so a scenario JSON can request streaming
 //! capture without code changes.
 //!
-//! With the feature disabled this module still compiles (it has no
-//! feature-gated items itself) but nothing constructs a sink, and
-//! `run_frame` contains no tracing code at all — zero hot-path cost.
+//! The `trace` feature of this crate is the only switch: it picks the
+//! frame engine ([`ENABLED`]). Every sink, the [`TraceSinkSpec`] plumbing
+//! and the drivers above it compile in every build. Without the feature
+//! `run_frame` runs the block pipeline, which contains no tracing code
+//! at all, and a run that asks for a sink fails with
+//! [`PhyError::TraceSink`](crate::PhyError::TraceSink) instead of
+//! recording nothing.
 
 use serde::{Deserialize, Serialize};
 use std::borrow::Cow;
@@ -68,6 +72,12 @@ use std::collections::VecDeque;
 use std::fs::File;
 use std::io::{BufWriter, Write};
 use std::path::{Path, PathBuf};
+
+/// Whether this build's frame engine records trace events: `true` only
+/// with the `trace` feature, whose `run_frame` takes the per-sample
+/// reference engine. Drivers check it once per run and refuse a sink
+/// with a typed error when it is `false`.
+pub const ENABLED: bool = cfg!(feature = "trace");
 
 /// Default ring capacity in events: comfortably holds a chip-decimated
 /// 256-byte frame with full feedback activity.

@@ -50,7 +50,7 @@ impl DetectorChain {
         if self.noise_sigma == 0.0 {
             clean
         } else {
-            clean + self.noise_sigma * crate::gaussian(rng)
+            clean + self.noise_sigma * fdb_dsp::math::randn(rng)
         }
     }
 

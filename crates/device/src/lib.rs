@@ -38,13 +38,3 @@ pub use harvester::{Harvester, HarvesterConfig};
 pub use oscillator::TagClock;
 pub use tag::{TagConfig, TagHardware};
 
-use rand::Rng;
-
-/// Draws one standard normal sample (Box–Muller, second output discarded),
-/// the same transform as `fdb_channel::randn`. Used by the detector noise
-/// and the clock jitter.
-pub(crate) fn gaussian<R: Rng + ?Sized>(rng: &mut R) -> f64 {
-    let u1: f64 = rng.gen_range(f64::MIN_POSITIVE..1.0);
-    let u2: f64 = rng.gen_range(0.0..1.0);
-    (-2.0 * u1.ln()).sqrt() * (2.0 * std::f64::consts::PI * u2).cos()
-}

@@ -77,7 +77,7 @@ impl TagClock {
     /// block — the jitter scale is per-update).
     pub fn advance<R: Rng + ?Sized>(&mut self, rng: &mut R) -> f64 {
         if self.cfg.jitter_ppm > 0.0 {
-            let g = crate::gaussian(rng);
+            let g = fdb_dsp::math::randn(rng);
             let rev = self.cfg.reversion.clamp(0.0, 1.0);
             self.current_ppm += rev * (self.cfg.static_ppm - self.current_ppm)
                 + self.cfg.jitter_ppm * g;

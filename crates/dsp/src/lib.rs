@@ -7,7 +7,8 @@
 //!
 //! Everything here is deliberately simple, allocation-conscious and
 //! deterministic (smoltcp-style): filters are explicit state machines that
-//! process one sample at a time, randomness never enters this crate, and no
+//! process one sample at a time, randomness enters only through
+//! [`math::randn`] (drawing from the caller's generator), and no
 //! function panics on hostile input in a library path (they return `Result`
 //! or saturate instead).
 //!
@@ -27,7 +28,7 @@
 //! | [`fec`] | repetition code, Hamming(7,4), block interleaver |
 //! | [`line_code`] | NRZ-OOK, Manchester, FM0, Miller backscatter codings |
 //! | [`stats`] | BER counters, Wilson intervals, Welford, EWMA |
-//! | [`math`] | erf/erfc/Q, Marcum Q₁, Bessel I₀ special functions |
+//! | [`math`] | erf/erfc/Q, Marcum Q₁, Bessel I₀ special functions; the Box–Muller normal sampler |
 //! | [`resample`] | fractional resampler (models clock-rate mismatch) |
 //! | [`threshold`] | adaptive peak-tracking slicer |
 //!

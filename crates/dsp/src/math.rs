@@ -5,6 +5,11 @@
 //! function I₀. Implementations follow the standard references (Abramowitz &
 //! Stegun; Numerical Recipes): accuracy targets are ~1e-7 absolute, far
 //! below the Monte-Carlo resolution of any experiment in this repository.
+//!
+//! [`randn`], the workspace's one Gaussian sampler, lives here too, so the
+//! channel, ambient and device models draw noise through one transform.
+
+use rand::Rng;
 
 /// Error function `erf(x)`.
 pub fn erf(x: f64) -> f64 {
@@ -183,9 +188,39 @@ pub fn binomial_tail(n: u64, k: u64, p: f64) -> f64 {
     sum.clamp(0.0, 1.0)
 }
 
+/// Draws one standard normal sample (Box–Muller transform).
+///
+/// The second Box–Muller output is intentionally discarded to keep the
+/// consumer's RNG stream position independent of call history. Every
+/// golden in the repository depends on this draw order and operation
+/// sequence.
+pub fn randn<R: Rng + ?Sized>(rng: &mut R) -> f64 {
+    let u1: f64 = rng.gen_range(f64::MIN_POSITIVE..1.0);
+    let u2: f64 = rng.gen_range(0.0..1.0);
+    (-2.0 * u1.ln()).sqrt() * (2.0 * std::f64::consts::PI * u2).cos()
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+    use rand::SeedableRng;
+
+    #[test]
+    fn randn_moments() {
+        let mut rng = rand_chacha::ChaCha8Rng::seed_from_u64(1);
+        let n = 200_000;
+        let mut mean = 0.0;
+        let mut var = 0.0;
+        for _ in 0..n {
+            let x = randn(&mut rng);
+            mean += x;
+            var += x * x;
+        }
+        mean /= n as f64;
+        var = var / n as f64 - mean * mean;
+        assert!(mean.abs() < 0.01, "mean {mean}");
+        assert!((var - 1.0).abs() < 0.02, "var {var}");
+    }
 
     #[test]
     fn erf_known_values() {

@@ -38,7 +38,7 @@ use crate::cache::ResultStore;
 pub enum JobEvent {
     /// Progress tick (frames / grid cells completed).
     Progress(JobProgress),
-    /// One streamed trace chunk (`trace` builds, link jobs only).
+    /// One streamed trace chunk (tracing builds, link jobs only).
     Trace(TraceChunk),
     /// Terminal: the job produced a result.
     Done {
@@ -73,8 +73,8 @@ pub enum SubmitError {
         /// The configured bound that was hit.
         depth: usize,
     },
-    /// Trace streaming was requested but this build lacks the `trace`
-    /// feature.
+    /// Trace streaming was requested but this build's engine cannot
+    /// trace ([`fdb_core::trace::ENABLED`] is `false`).
     TraceUnavailable,
     /// The pool is shutting down.
     ShuttingDown,
@@ -88,7 +88,7 @@ impl std::fmt::Display for SubmitError {
                 write!(f, "queue full ({depth} jobs waiting)")
             }
             SubmitError::TraceUnavailable => {
-                write!(f, "trace streaming requires a `trace`-feature build")
+                write!(f, "trace streaming requires an `fdb-core/trace` build")
             }
             SubmitError::ShuttingDown => write!(f, "service is shutting down"),
         }
@@ -184,7 +184,7 @@ impl WorkerPool {
         if self.shared.shutdown.load(Ordering::SeqCst) {
             return Err(SubmitError::ShuttingDown);
         }
-        if stream_trace && !cfg!(feature = "trace") {
+        if stream_trace && !fdb_core::trace::ENABLED {
             return Err(SubmitError::TraceUnavailable);
         }
         job.validate().map_err(SubmitError::Invalid)?;
@@ -345,32 +345,24 @@ fn run_with_optional_trace(
         let _ = events; // only the traced path forwards through `events`
         return spec.run(ctrl).map(|r| r.canonical_json());
     }
-    #[cfg(not(feature = "trace"))]
-    {
-        // submit() already rejected this combination.
-        unreachable!("stream_trace admitted without the trace feature")
-    }
-    #[cfg(feature = "trace")]
-    {
-        let (tx, rx) = std::sync::mpsc::channel::<TraceChunk>();
-        let forward_events = Arc::clone(events);
-        let forwarder = std::thread::spawn(move || {
-            for chunk in rx {
-                forward_events(JobEvent::Trace(chunk));
-            }
-        });
-        // Match the frame cap a spec-built JsonlFileSink would use for
-        // this job, so streamed chunks stay byte-identical to the file a
-        // direct traced run writes even for configs with a custom cap.
-        let mut sink = fdb_core::trace::ChannelSink::new(tx);
-        if let JobSpec::Link { link, .. } = spec {
-            sink = sink.with_frame_cap(link.phy.trace_ring_capacity());
+    let (tx, rx) = std::sync::mpsc::channel::<TraceChunk>();
+    let forward_events = Arc::clone(events);
+    let forwarder = std::thread::spawn(move || {
+        for chunk in rx {
+            forward_events(JobEvent::Trace(chunk));
         }
-        let outcome = spec.run(ctrl.with_sink(&mut sink)).map(|r| r.canonical_json());
-        drop(sink); // hang up so the forwarder drains and exits
-        let _ = forwarder.join();
-        outcome
+    });
+    // Match the frame cap a spec-built JsonlFileSink would use for this
+    // job, so streamed chunks stay byte-identical to the file a direct
+    // traced run writes even for configs with a custom cap.
+    let mut sink = fdb_core::trace::ChannelSink::new(tx);
+    if let JobSpec::Link { link, .. } = spec {
+        sink = sink.with_frame_cap(link.phy.trace_ring_capacity());
     }
+    let outcome = spec.run(ctrl.with_sink(&mut sink)).map(|r| r.canonical_json());
+    drop(sink); // hang up so the forwarder drains and exits
+    let _ = forwarder.join();
+    outcome
 }
 
 #[cfg(test)]
@@ -544,14 +536,22 @@ mod tests {
         pool.shutdown();
     }
 
-    #[cfg(feature = "trace")]
     #[test]
     fn streamed_trace_matches_file_sink_bytes() {
         use fdb_core::trace::JsonlFileSink;
 
         let pool = WorkerPool::new(1, 4, store("trace"));
         let (events, rx) = collector();
-        pool.submit(job(3, 7), true, None, events).unwrap();
+        let submitted = pool.submit(job(3, 7), true, None, events);
+        if !fdb_core::trace::ENABLED {
+            // A build whose engine cannot trace refuses the stream up
+            // front, before anything is queued or cached.
+            assert!(matches!(submitted, Err(SubmitError::TraceUnavailable)));
+            assert!(pool.store().is_empty());
+            pool.shutdown();
+            return;
+        }
+        submitted.unwrap();
         let mut streamed = String::new();
         let mut done_json = None;
         for ev in rx.iter() {

@@ -45,7 +45,7 @@ pub enum Request {
         /// The job to run; its content hash is the cache key.
         job: JobSpec,
         /// Stream per-frame trace chunks as [`Response::Trace`] lines
-        /// (link jobs, `trace` builds only). Traced submissions bypass
+        /// (link jobs, `fdb-core/trace` builds only). Traced submissions bypass
         /// the result cache: their metrics carry sink counters, which
         /// would poison replies to untraced submissions of the same job.
         #[serde(default)]
@@ -87,7 +87,7 @@ pub enum Response {
         kind: String,
     },
     /// The submission was refused (invalid spec, full queue, trace
-    /// streaming without the `trace` feature, shutdown in progress).
+    /// streaming without `fdb-core/trace`, shutdown in progress).
     Rejected {
         /// Human-readable refusal reason.
         reason: String,

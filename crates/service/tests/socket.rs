@@ -155,8 +155,8 @@ fn socket_conversation_end_to_end() {
 /// The tentpole trace contract over the real socket: the concatenated
 /// `Trace` chunk text of a streamed link job equals the file a
 /// `JsonlFileSink` writes for the same `(config, spec, seed)`, byte for
-/// byte — and streamed submissions never populate the cache.
-#[cfg(feature = "trace")]
+/// byte — and streamed submissions never populate the cache. A build
+/// whose engine cannot trace answers the same submission with `Rejected`.
 #[test]
 fn socket_streamed_trace_matches_file_sink() {
     use fdb_core::trace::JsonlFileSink;
@@ -174,22 +174,36 @@ fn socket_streamed_trace_matches_file_sink() {
     };
     let mut client = connect_with_retry(&socket);
 
-    let (_, streamed, cached) = submit(&mut client, link_job(4, 21), true);
-    assert!(!cached);
-    assert!(!streamed.is_empty(), "streamed trace captured nothing");
+    if fdb_core::trace::ENABLED {
+        let (_, streamed, cached) = submit(&mut client, link_job(4, 21), true);
+        assert!(!cached);
+        assert!(!streamed.is_empty(), "streamed trace captured nothing");
 
-    // Reference: the identical job straight into a file sink.
-    let ref_path = dir.join("reference.jsonl");
-    let mut sink = JsonlFileSink::create(&ref_path).unwrap();
-    link_job(4, 21)
-        .run(RunControl::new().with_sink(&mut sink))
-        .unwrap();
-    sink.finish().unwrap();
-    assert_eq!(
-        streamed,
-        std::fs::read_to_string(&ref_path).unwrap(),
-        "socket-streamed trace must equal the JsonlFileSink file byte-for-byte"
-    );
+        // Reference: the identical job straight into a file sink.
+        let ref_path = dir.join("reference.jsonl");
+        let mut sink = JsonlFileSink::create(&ref_path).unwrap();
+        link_job(4, 21)
+            .run(RunControl::new().with_sink(&mut sink))
+            .unwrap();
+        sink.finish().unwrap();
+        assert_eq!(
+            streamed,
+            std::fs::read_to_string(&ref_path).unwrap(),
+            "socket-streamed trace must equal the JsonlFileSink file byte-for-byte"
+        );
+    } else {
+        client
+            .send(&Request::Submit {
+                job: link_job(4, 21),
+                stream_trace: true,
+                timeout_ms: 0,
+            })
+            .unwrap();
+        match client.recv().unwrap().unwrap() {
+            Response::Rejected { reason } => assert!(reason.contains("fdb-core/trace"), "{reason}"),
+            other => panic!("expected Rejected, got {other:?}"),
+        }
+    }
 
     // Streamed submissions bypass the cache in both directions.
     client.send(&Request::Ping).unwrap();

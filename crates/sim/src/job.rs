@@ -22,8 +22,9 @@
 //!
 //! [`JobSpec::run`] executes any job with a [`RunControl`]: cooperative
 //! cancellation (polled between frames / grid cells), coarse progress
-//! callbacks, and — for link jobs under the `trace` feature — a
-//! caller-owned [`TraceSink`] receiving the run's event stream.
+//! callbacks, and — for link jobs — a caller-owned [`TraceSink`]
+//! receiving the run's event stream (refused with `PhyError::TraceSink`
+//! unless [`fdb_core::trace::ENABLED`]).
 
 use crate::city::{CityEngine, CityReport, CityScenarioSpec};
 use crate::matrix::{class_plans, run_cell, MatrixCell};
@@ -32,7 +33,6 @@ use crate::runner::{run_link, LinkRun, MeasureSpec};
 use crate::scenario::{AblationPair, PairOutcome, ScenarioSpec};
 use fdb_core::hash::ContentHash;
 use fdb_core::link::LinkConfig;
-#[cfg(feature = "trace")]
 use fdb_core::trace::TraceSink;
 use fdb_core::PhyError;
 use fdb_mac::scenario::AdaptationReport;
@@ -163,7 +163,6 @@ pub struct RunControl<'a> {
     /// bracketed with `begin_frame`/`end_frame`, overriding the spec's
     /// own `trace` selection). Ignored by the other job kinds, whose
     /// aggregate results have no per-frame event stream to expose.
-    #[cfg(feature = "trace")]
     pub sink: Option<&'a mut dyn TraceSink>,
 }
 
@@ -186,7 +185,6 @@ impl<'a> RunControl<'a> {
     }
 
     /// Attaches a trace sink (link jobs only).
-    #[cfg(feature = "trace")]
     pub fn with_sink(mut self, sink: &'a mut dyn TraceSink) -> Self {
         self.sink = Some(sink);
         self
@@ -305,7 +303,6 @@ impl JobSpec {
         let RunControl {
             cancel,
             mut progress,
-            #[cfg(feature = "trace")]
             sink,
         } = ctrl;
         let total = self.progress_total();
@@ -326,7 +323,6 @@ impl JobSpec {
                 if let Some(c) = cancel {
                     run = run.with_cancel(c);
                 }
-                #[cfg(feature = "trace")]
                 if let Some(s) = sink {
                     run = run.with_sink(s);
                 }

@@ -53,5 +53,3 @@ pub use scenario::{AblationPair, FaultSource, PairOutcome, ScenarioSpec};
 pub use metrics::LinkMetrics;
 pub use runner::{run_link, LinkRun, MeasureSpec};
 pub use sweep::parallel_sweep;
-#[cfg(feature = "trace")]
-pub use sweep::parallel_sweep_traced;

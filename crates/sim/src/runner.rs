@@ -5,9 +5,7 @@ use crate::metrics::LinkMetrics;
 use fdb_channel::impairment::FrameFaults;
 use fdb_core::frame::bytes_to_bits_into;
 use fdb_core::link::{FdLink, FeedbackPolicy, FrameOutcome, FrameRun, LinkConfig, RunOptions};
-#[cfg(feature = "trace")]
-use fdb_core::trace::TraceSink;
-use fdb_core::trace::TraceSinkSpec;
+use fdb_core::trace::{TraceSink, TraceSinkSpec};
 use fdb_core::PhyError;
 use fdb_dsp::prbs::{Prbs, PrbsOrder};
 use rand::Rng;
@@ -29,8 +27,9 @@ pub struct MeasureSpec {
     /// `Some(true)` = known PRBS stream (enables feedback BER measurement).
     pub feedback_probe: Option<bool>,
     /// Where per-frame diagnostic events go ([`TraceSinkSpec::Null`] =
-    /// no capture). Non-null sinks need the `trace` feature; requesting
-    /// one in a build without it is a [`PhyError::TraceSink`] error.
+    /// no capture). Non-null sinks need an engine that traces
+    /// ([`fdb_core::trace::ENABLED`]); requesting one in a build without
+    /// it is a [`PhyError::TraceSink`] error.
     /// Older spec JSON without the field gets `Null`.
     #[serde(default)]
     pub trace: TraceSinkSpec,
@@ -125,7 +124,6 @@ pub struct LinkRun<'a> {
     /// (frames bracketed with `begin_frame`/`end_frame`); takes precedence
     /// over `spec.trace`. The sink's recorded/dropped deltas land on
     /// `LinkMetrics::trace_events` / `trace_dropped`.
-    #[cfg(feature = "trace")]
     pub sink: Option<&'a mut dyn TraceSink>,
     /// Per-frame observer: `observe(frame_index, outcome)` runs on every
     /// raw [`FrameOutcome`] before aggregation (the conformance harness
@@ -158,7 +156,6 @@ impl<'a> LinkRun<'a> {
 
     /// Streams every frame's diagnostic events into a caller-owned sink
     /// (overrides `spec.trace`).
-    #[cfg(feature = "trace")]
     pub fn with_sink(mut self, sink: &'a mut dyn TraceSink) -> Self {
         self.sink = Some(sink);
         self
@@ -174,64 +171,41 @@ impl<'a> LinkRun<'a> {
 /// run's random streams. Trace capture follows `run.sink` if present,
 /// else `spec.trace` (see [`MeasureSpec::with_trace`]); either way the
 /// sink's recorded/dropped totals land on `LinkMetrics::trace_events` /
-/// `LinkMetrics::trace_dropped`, and a non-null sink needs the `trace`
-/// feature.
+/// `LinkMetrics::trace_dropped`. A sink in a build whose engine cannot
+/// trace ([`fdb_core::trace::ENABLED`] is `false`) is refused with
+/// [`PhyError::TraceSink`] before any frame runs or any sink is built.
 pub fn run_link(
     cfg: &LinkConfig,
     spec: &MeasureSpec,
     run: LinkRun<'_>,
 ) -> Result<LinkMetrics, PhyError> {
-    #[cfg(feature = "trace")]
-    {
-        match run.sink {
-            Some(sink) => run_link_sinked(cfg, spec, run.observe, run.cancel, sink),
-            None if !spec.trace.is_null() => {
-                let mut sink = spec
-                    .trace
-                    .build(cfg.phy.trace_ring_capacity())
-                    .map_err(|e| PhyError::TraceSink {
-                        reason: e.to_string(),
-                    })?;
-                run_link_sinked(cfg, spec, run.observe, run.cancel, sink.as_mut())
-            }
-            None => run_link_inner(cfg, spec, run.observe, run.cancel, None),
-        }
+    let LinkRun { sink, observe, cancel } = run;
+    if (sink.is_some() || !spec.trace.is_null()) && !fdb_core::trace::ENABLED {
+        return Err(PhyError::TraceSink {
+            reason: "the run requests a trace sink, but this build lacks `fdb-core/trace`".into(),
+        });
     }
-    #[cfg(not(feature = "trace"))]
-    {
-        if !spec.trace.is_null() {
-            return Err(PhyError::TraceSink {
-                reason: "spec requests a trace sink but this build lacks the `trace` feature"
-                    .into(),
-            });
+    let mut built;
+    let sink = match sink {
+        None if !spec.trace.is_null() => {
+            built = spec
+                .trace
+                .build(cfg.phy.trace_ring_capacity())
+                .map_err(|e| PhyError::TraceSink {
+                    reason: e.to_string(),
+                })?;
+            Some(built.as_mut() as &mut dyn TraceSink)
         }
-        run_link_inner(cfg, spec, run.observe, run.cancel)
-    }
+        // Shortens the caller's sink borrow to the one built above.
+        sink => sink.map(|s| s as &mut dyn TraceSink),
+    };
+    run_link_inner(cfg, spec, observe, cancel, sink)
 }
 
-/// [`run_link`] with the frames streamed into `sink`, trace counters set
-/// from the sink's deltas, and the sink's backend error surfaced.
-#[cfg(feature = "trace")]
-fn run_link_sinked(
-    cfg: &LinkConfig,
-    spec: &MeasureSpec,
-    observe: Option<&mut FrameObserver<'_>>,
-    cancel: Option<&dyn Fn() -> bool>,
-    sink: &mut dyn TraceSink,
-) -> Result<LinkMetrics, PhyError> {
-    let (e0, d0) = (sink.events_recorded(), sink.events_dropped());
-    let mut metrics = run_link_inner(cfg, spec, observe, cancel, Some(&mut *sink))?;
-    metrics.trace_events = sink.events_recorded() - e0;
-    metrics.trace_dropped = sink.events_dropped() - d0;
-    match sink.io_error() {
-        Some(reason) => Err(PhyError::TraceSink { reason }),
-        None => Ok(metrics),
-    }
-}
-
-/// The measurement loop. With the `trace` feature and a sink present,
-/// each frame runs through [`FdLink::run_frame_into`] bracketed by the
-/// sink's frame markers; otherwise through a plain ring-traced run.
+/// The measurement loop. With a sink present, each frame runs through
+/// [`FdLink::run_frame_into`] bracketed by the sink's frame markers, the
+/// trace counters are set from the sink's deltas, and the sink's backend
+/// error is surfaced; otherwise each frame is a plain run.
 ///
 /// The loop owns one of everything — outcome, payload buffer, fault
 /// engine, BER staging — and re-arms it per frame, so after the first
@@ -242,7 +216,7 @@ fn run_link_inner(
     spec: &MeasureSpec,
     mut observe: Option<&mut FrameObserver<'_>>,
     cancel: Option<&dyn Fn() -> bool>,
-    #[cfg(feature = "trace")] mut sink: Option<&mut dyn TraceSink>,
+    mut sink: Option<&mut dyn TraceSink>,
 ) -> Result<LinkMetrics, PhyError> {
     if let Some(plan) = &spec.faults {
         plan.validate().map_err(|reason| PhyError::InvalidConfig {
@@ -281,10 +255,10 @@ fn run_link_inner(
             abort_on_nack: false,
         },
     };
-    #[cfg(feature = "trace")]
-    if let Some(s) = sink.as_deref_mut() {
+    let sink_start = sink.as_deref_mut().map(|s| {
         s.reserve(cfg.phy.trace_ring_capacity());
-    }
+        (s.events_recorded(), s.events_dropped())
+    });
 
     for frame_idx in 0..spec.frames {
         if let Some(cancelled) = cancel {
@@ -307,36 +281,15 @@ fn run_link_inner(
             Some(plan) => plan.frame_faults_into(frame_idx, &mut fault_engine),
             None => false,
         };
-        let frame_faults = has_faults.then_some(&mut fault_engine);
-        #[cfg(feature = "trace")]
-        match sink.as_deref_mut() {
-            Some(s) => {
-                s.begin_frame(frame_idx);
-                link.run_frame_into(
-                    &payload,
-                    &opts,
-                    &mut rng,
-                    FrameRun::faulted(frame_faults).with_sink(s),
-                    &mut out,
-                )?;
-                s.end_frame();
-            }
-            None => link.run_frame_into(
-                &payload,
-                &opts,
-                &mut rng,
-                FrameRun::faulted(frame_faults),
-                &mut out,
-            )?,
+        let mut frame = FrameRun::faulted(has_faults.then_some(&mut fault_engine));
+        if let Some(s) = sink.as_deref_mut() {
+            s.begin_frame(frame_idx);
+            frame = frame.with_sink(s);
         }
-        #[cfg(not(feature = "trace"))]
-        link.run_frame_into(
-            &payload,
-            &opts,
-            &mut rng,
-            FrameRun::faulted(frame_faults),
-            &mut out,
-        )?;
+        link.run_frame_into(&payload, &opts, &mut rng, frame, &mut out)?;
+        if let Some(s) = sink.as_deref_mut() {
+            s.end_frame();
+        }
         if let Some(observe) = observe.as_deref_mut() {
             observe(frame_idx, &out);
         }
@@ -375,6 +328,13 @@ fn run_link_inner(
             metrics
                 .feedback_ber
                 .record_slice(&fb_expected[..n], &recv_bits[..n]);
+        }
+    }
+    if let (Some(s), Some((e0, d0))) = (sink, sink_start) {
+        metrics.trace_events = s.events_recorded() - e0;
+        metrics.trace_dropped = s.events_dropped() - d0;
+        if let Some(reason) = s.io_error() {
+            return Err(PhyError::TraceSink { reason });
         }
     }
     Ok(metrics)
@@ -475,17 +435,41 @@ mod tests {
         assert_eq!(m.fully_delivered, 2);
     }
 
-    #[cfg(not(feature = "trace"))]
-    #[test]
-    fn trace_spec_without_feature_errors() {
-        let spec = MeasureSpec::quick(1).with_trace(TraceSinkSpec::Collect);
-        assert!(matches!(
-            run_link(&clean_cfg(), &spec, LinkRun::new()),
-            Err(PhyError::TraceSink { .. })
-        ));
+    /// A traced request's result when the engine traces, else `None`
+    /// after asserting the typed refusal.
+    fn traced_or_refused<T>(res: Result<T, PhyError>) -> Option<T> {
+        if fdb_core::trace::ENABLED {
+            return Some(res.expect("a tracing engine accepts the sink"));
+        }
+        assert!(matches!(res, Err(PhyError::TraceSink { .. })));
+        None
     }
 
-    #[cfg(feature = "trace")]
+    /// The benchmark harness tells a trace build from a block-engine build
+    /// by exactly this call: a zero-frame run asking for a one-event ring.
+    /// It must be refused without `fdb-core/trace` (or every benchmark run
+    /// would abort), and accepted, recording events, with it.
+    #[test]
+    fn trace_requests_follow_the_engine_capability() {
+        let probe = MeasureSpec {
+            frames: 0,
+            trace: TraceSinkSpec::Ring { capacity: Some(1) },
+            ..MeasureSpec::default()
+        };
+        let accepted = run_link(&LinkConfig::default_fd(), &probe, LinkRun::new());
+        let accepted = traced_or_refused(accepted);
+        assert_eq!(accepted.map(|m| m.frames), fdb_core::trace::ENABLED.then_some(0));
+        // A caller-owned sink follows the same contract: events recorded
+        // with the feature, untouched without it.
+        let mut sink = fdb_core::trace::CollectSink::new();
+        let one = MeasureSpec { frames: 1, ..MeasureSpec::quick(1) };
+        let traced = run_link(&clean_cfg(), &one, LinkRun::new().with_sink(&mut sink));
+        let traced = traced_or_refused(traced);
+        let recorded = sink.events().len() as u64;
+        assert_eq!(traced.map(|m| m.trace_events), fdb_core::trace::ENABLED.then_some(recorded));
+        assert_eq!(sink.events().is_empty(), !fdb_core::trace::ENABLED);
+    }
+
     #[test]
     fn sink_spec_populates_trace_counters() {
         let spec = MeasureSpec {
@@ -496,7 +480,9 @@ mod tests {
             trace: TraceSinkSpec::Collect,
             faults: None,
         };
-        let m = run_link(&clean_cfg(), &spec, LinkRun::new()).unwrap();
+        let Some(m) = traced_or_refused(run_link(&clean_cfg(), &spec, LinkRun::new())) else {
+            return;
+        };
         assert_eq!(m.frames, 2);
         assert!(m.trace_events > 0, "no events reached the sink");
         assert_eq!(m.trace_dropped, 0);
@@ -505,7 +491,6 @@ mod tests {
         assert_eq!(m.trace_events, 0);
     }
 
-    #[cfg(feature = "trace")]
     #[test]
     fn with_trace_builder_does_not_perturb_metrics() {
         let base = MeasureSpec {
@@ -517,12 +502,10 @@ mod tests {
             faults: None,
         };
         let plain = run_link(&clean_cfg(), &base, LinkRun::new()).unwrap();
-        let traced = run_link(
-            &clean_cfg(),
-            &base.clone().with_trace(TraceSinkSpec::Ring { capacity: Some(64) }),
-            LinkRun::new(),
-        )
-        .unwrap();
+        let ring = base.clone().with_trace(TraceSinkSpec::Ring { capacity: Some(64) });
+        let Some(traced) = traced_or_refused(run_link(&clean_cfg(), &ring, LinkRun::new())) else {
+            return;
+        };
         assert_eq!(plain.fully_delivered, traced.fully_delivered);
         assert_eq!(plain.airtime_samples, traced.airtime_samples);
         assert_eq!(plain.data_ber.errors(), traced.data_ber.errors());

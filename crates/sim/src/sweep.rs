@@ -11,10 +11,6 @@
 //! results are re-assembled in input order afterwards, so the output is
 //! independent of scheduling.
 
-#[cfg(feature = "trace")]
-use fdb_core::trace::JsonlFileSink;
-#[cfg(feature = "trace")]
-use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicUsize, Ordering};
 
 /// Runs `f` over every point, in parallel, preserving input order.
@@ -66,78 +62,6 @@ where
     tagged.sort_unstable_by_key(|&(i, _)| i);
     debug_assert_eq!(tagged.len(), n);
     tagged.into_iter().map(|(_, r)| r).collect()
-}
-
-/// Runs a traced sweep: every point gets its **own** [`JsonlFileSink`]
-/// writing to `<out_path>.part<i>`, and once all points finish, the part
-/// files are concatenated into `out_path` in input order and removed.
-///
-/// Keying the part file to the *point index* (not the worker) makes the
-/// merged file deterministic regardless of scheduling — the same property
-/// [`parallel_sweep`] gives result vectors. Resident trace memory stays
-/// bounded by `frame_cap` events per in-flight point (each sink stages at
-/// most one frame), no matter how many frames the sweep runs in total.
-///
-/// `f` receives `(point_index, point, sink)` and should bracket its
-/// frames through the sink (e.g. via [`crate::runner::run_link`] with
-/// `LinkRun::new().with_sink(..)`). Frame indices restart at 0 for every
-/// point.
-///
-/// On any sink or merge I/O error the sweep returns `Err`; part files
-/// that were already merged are gone, unmerged ones are cleaned up.
-#[cfg(feature = "trace")]
-pub fn parallel_sweep_traced<P, R, F>(
-    points: &[P],
-    threads: usize,
-    out_path: &Path,
-    frame_cap: usize,
-    f: F,
-) -> std::io::Result<Vec<R>>
-where
-    P: Sync,
-    R: Send,
-    F: Fn(usize, &P, &mut JsonlFileSink) -> R + Sync,
-{
-    let part_path = |i: usize| -> PathBuf {
-        PathBuf::from(format!("{}.part{i}", out_path.display()))
-    };
-    let indices: Vec<usize> = (0..points.len()).collect();
-    let results = parallel_sweep(&indices, threads, |&i| -> std::io::Result<R> {
-        let mut sink = JsonlFileSink::create(part_path(i))?.with_frame_cap(frame_cap);
-        let r = f(i, &points[i], &mut sink);
-        sink.finish()?;
-        Ok(r)
-    });
-
-    let cleanup = |from: usize| {
-        for i in from..points.len() {
-            std::fs::remove_file(part_path(i)).ok();
-        }
-    };
-    let mut out: Vec<R> = Vec::with_capacity(points.len());
-    for r in results {
-        match r {
-            Ok(r) => out.push(r),
-            Err(e) => {
-                cleanup(0);
-                return Err(e);
-            }
-        }
-    }
-    let merge = || -> std::io::Result<()> {
-        let mut merged = std::io::BufWriter::new(std::fs::File::create(out_path)?);
-        for i in 0..points.len() {
-            let mut part = std::fs::File::open(part_path(i))?;
-            std::io::copy(&mut part, &mut merged)?;
-            std::fs::remove_file(part_path(i))?;
-        }
-        std::io::Write::flush(&mut merged)
-    };
-    if let Err(e) = merge() {
-        cleanup(0);
-        return Err(e);
-    }
-    Ok(out)
 }
 
 /// Builds a linear sweep of `n` points over `[lo, hi]` inclusive.
@@ -229,46 +153,6 @@ mod tests {
             handled_by_slow <= 2,
             "slow worker handled {handled_by_slow} of 8 points — chunking, not stealing"
         );
-    }
-
-    #[cfg(feature = "trace")]
-    #[test]
-    fn traced_sweep_merges_part_files_in_point_order() {
-        use fdb_core::trace::{parse_trace_line, TraceEvent, TraceLine, TraceSink};
-        let out = std::env::temp_dir().join(format!(
-            "fdb_sweep_trace_{}.jsonl",
-            std::process::id()
-        ));
-        let points: Vec<usize> = (0..9).collect();
-        let results = parallel_sweep_traced(&points, 4, &out, 8, |_, &p, sink| {
-            // Two "frames" per point, each with one recognisable event.
-            for f in 0..2u64 {
-                sink.begin_frame(f);
-                sink.record(TraceEvent::Abort { sample: p });
-                sink.end_frame();
-            }
-            p * 10
-        })
-        .unwrap();
-        assert_eq!(results, vec![0, 10, 20, 30, 40, 50, 60, 70, 80]);
-        // The merged file carries every point's frames, grouped by point
-        // in input order (frame indices restart per point).
-        let text = std::fs::read_to_string(&out).unwrap();
-        let mut point_of_abort = Vec::new();
-        for line in text.lines() {
-            if let TraceLine::Event(TraceEvent::Abort { sample }) =
-                parse_trace_line(line).unwrap()
-            {
-                point_of_abort.push(sample);
-            }
-        }
-        let expect: Vec<usize> = points.iter().flat_map(|&p| [p, p]).collect();
-        assert_eq!(point_of_abort, expect, "merge not in point order");
-        // All part files were cleaned up.
-        for i in 0..points.len() {
-            assert!(!std::path::Path::new(&format!("{}.part{i}", out.display())).exists());
-        }
-        std::fs::remove_file(&out).ok();
     }
 
     #[test]

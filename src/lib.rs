@@ -63,7 +63,6 @@ pub use fdb_sim as sim;
 /// Closed-form performance models and theory-vs-simulation validators.
 pub use fdb_analysis as analysis;
 
-#[cfg(feature = "trace")]
 pub mod testing;
 
 /// The types most programs need.

@@ -3,8 +3,10 @@
 //! clean-link, hunting (out-of-range) link, faulted-link, and MAC-session
 //! paths perform **zero** heap
 //! allocations — for both frame engines (per-sample reference and block),
-//! with and without the `trace` feature (this file compiles under both
-//! configs; CI runs it twice).
+//! with and without `fdb-core/trace`. The file compiles under both
+//! configs and CI runs it in each: the default build, where dispatch
+//! takes the block engine, and `--features fdb-core/trace`, where it
+//! takes the reference engine and recycles the outcome's trace ring.
 //!
 //! The counter is thread-local, so parallel test threads can't perturb
 //! each other's tallies. Only allocation *requests* are counted
@@ -178,7 +180,7 @@ fn clean_link_block_engine_is_allocation_free_after_warmup() {
 
 #[test]
 fn clean_link_dispatch_is_allocation_free_after_warmup() {
-    // Covers the trace-on path too: on `trace` builds `run_frame_into`
+    // Covers the trace-on path too: on `fdb-core/trace` builds `run_frame_into`
     // routes through the reference engine and recycles the outcome's
     // trace ring in place.
     let n = steady_state_allocs(Engine::Dispatch, STEADY_FRAMES, false);

@@ -8,7 +8,7 @@
 
 use fd_backscatter::prelude::*;
 use fd_backscatter::sim::faults::{FaultKind, FaultPlan, FaultSpec, FaultTarget};
-use fdb_bench::fault_matrix::{class_plans, run_cell, run_matrix};
+use fd_backscatter::sim::matrix::{class_plans, run_cell, run_matrix};
 use serde::Deserialize;
 
 #[derive(Deserialize)]

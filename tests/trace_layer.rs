@@ -1,11 +1,15 @@
 //! Integration tests for the frame-trace diagnostics layer.
 //!
-//! Run with `cargo test --features trace`; the whole file compiles away
-//! otherwise.
-#![cfg(feature = "trace")]
+//! Every test checks the contract of the build it runs in: with
+//! `--features fdb-core/trace` the frame's events are captured and
+//! asserted on; without it, the capture request must be refused with
+//! `PhyError::TraceSink`.
 
+use fd_backscatter::phy::trace::{parse_trace_line, FrameTrace, TraceLine};
 use fd_backscatter::prelude::*;
-use fd_backscatter::testing::{run_seeded_frame, trace_jsonl};
+use fd_backscatter::testing::{
+    run_seeded_frame, seeded_frame_trace, trace_jsonl, traced_or_refused,
+};
 
 fn quiet_cfg() -> LinkConfig {
     let mut cfg = LinkConfig::default_fd();
@@ -14,45 +18,66 @@ fn quiet_cfg() -> LinkConfig {
     cfg
 }
 
+/// One seeded frame and its ring trace, if the engine traces.
+fn traced_frame(seed: u64, len: usize, opts: &RunOptions) -> Option<(FrameOutcome, FrameTrace)> {
+    traced_or_refused(seeded_frame_trace(quiet_cfg(), seed, len, opts))
+}
+
 #[test]
 fn fd_frame_trace_covers_every_stage() {
+    // With no sink attached, a tracing engine fills the outcome's own ring
+    // with the events a caller-owned ring receives; any other engine has
+    // no outcome ring.
     let out = run_seeded_frame(quiet_cfg(), 11, 64, &RunOptions::fd_monitor());
     assert!(out.fully_delivered(), "clean FD frame must deliver");
+    let Some((_, ring)) = traced_frame(11, 64, &RunOptions::fd_monitor()) else {
+        assert!(out.ring_trace().is_none(), "untraced engine has an outcome ring");
+        return;
+    };
+    let own = out.ring_trace().expect("no outcome ring");
     for stage in ["tx", "channel", "sic", "rx", "feedback"] {
         assert!(
-            out.trace.stage_events(stage).next().is_some(),
+            own.stage_events(stage).next().is_some(),
             "no `{stage}` events in a full-duplex frame trace"
         );
     }
-    assert!(!out.trace.is_empty());
+    let caller_ring_agrees = own.events().eq(ring.events());
+    assert!(caller_ring_agrees, "outcome and caller-owned rings differ");
 }
 
 #[test]
 fn half_duplex_trace_has_no_feedback_events() {
-    let out = run_seeded_frame(quiet_cfg(), 12, 32, &RunOptions::half_duplex());
+    let Some((out, trace)) = traced_frame(12, 32, &RunOptions::half_duplex()) else {
+        return;
+    };
     assert!(out.fully_delivered());
     assert_eq!(
-        out.trace.stage_events("feedback").count(),
+        trace.stage_events("feedback").count(),
         0,
         "half-duplex frames must not record feedback-decode events"
     );
-    assert!(out.trace.stage_events("rx").next().is_some());
+    assert!(trace.stage_events("rx").next().is_some());
 }
 
 #[test]
 fn trace_is_deterministic_for_a_seed() {
-    let a = run_seeded_frame(quiet_cfg(), 13, 48, &RunOptions::fd_monitor());
-    let b = run_seeded_frame(quiet_cfg(), 13, 48, &RunOptions::fd_monitor());
-    let ea: Vec<_> = a.trace.events().collect();
-    let eb: Vec<_> = b.trace.events().collect();
+    let a = traced_frame(13, 48, &RunOptions::fd_monitor());
+    let b = traced_frame(13, 48, &RunOptions::fd_monitor());
+    let (Some((_, a)), Some((_, b))) = (a, b) else {
+        return;
+    };
+    let ea: Vec<_> = a.events().collect();
+    let eb: Vec<_> = b.events().collect();
     assert_eq!(ea, eb, "same seed must replay an identical trace");
 }
 
 #[test]
 fn trace_serialises_to_jsonl_and_tags_stages() {
-    let out = run_seeded_frame(quiet_cfg(), 14, 32, &RunOptions::fd_monitor());
-    let lines = trace_jsonl(&out.trace);
-    assert_eq!(lines.len(), out.trace.len());
+    let Some((_, trace)) = traced_frame(14, 32, &RunOptions::fd_monitor()) else {
+        return;
+    };
+    let lines = trace_jsonl(&trace);
+    assert_eq!(lines.len(), trace.len());
     for line in &lines {
         let v: serde_json::Value = serde_json::from_str(line)
             .unwrap_or_else(|e| panic!("trace line is not valid JSON ({e:?}): {line}"));
@@ -63,33 +88,46 @@ fn trace_serialises_to_jsonl_and_tags_stages() {
 
 #[test]
 fn observer_captures_first_failing_frame_trace() {
-    // At a marginal distance some frames fail; an observer attachment can
-    // clone the ring trace of the first one that did (what the removed
-    // `measure_link_traced` wrapper used to hard-code).
-    use fd_backscatter::phy::trace::FrameTrace;
-
+    // At a marginal distance some frames fail; an observer attachment
+    // names the first one that did, and its events are the block between
+    // that frame's markers in the run's JSONL trace.
+    let path = std::env::temp_dir().join(format!(
+        "fdb_trace_layer_{}.jsonl",
+        std::process::id()
+    ));
+    let _ = std::fs::remove_file(&path);
     let mut cfg = LinkConfig::default_fd();
     cfg.geometry.device_dist_m = 0.8; // far: reliably lossy
     let spec = MeasureSpec {
         frames: 6,
-        payload_len: 64,
-        seed: 5,
-        feedback_probe: Some(false),
-        trace: Default::default(),
-        faults: None,
+        ..MeasureSpec::quick(5).with_trace(TraceSinkSpec::jsonl(path.display().to_string()))
     };
-    let mut first_failure: Option<FrameTrace> = None;
-    let mut observe = |_: u64, out: &FrameOutcome| {
+    let mut first_failure: Option<u64> = None;
+    let mut observe = |i: u64, out: &FrameOutcome| {
         if first_failure.is_none() && !out.fully_delivered() {
-            first_failure = Some(out.trace.clone());
+            first_failure = Some(i);
         }
     };
-    let metrics = run_link(&cfg, &spec, LinkRun::new().with_observe(&mut observe)).unwrap();
-    assert_eq!(metrics.frames, 6);
-    if metrics.fully_delivered < metrics.frames {
-        let trace = first_failure.expect("a failing frame must carry its trace");
-        assert!(!trace.is_empty(), "captured trace is empty");
-    } else {
-        assert!(first_failure.is_none());
-    }
+    let res = run_link(&cfg, &spec, LinkRun::new().with_observe(&mut observe));
+    let Some(metrics) = traced_or_refused(res) else {
+        assert!(!path.exists(), "a refused run must not create the trace file");
+        return;
+    };
+    let text = std::fs::read_to_string(&path).unwrap();
+    std::fs::remove_file(&path).ok();
+    assert_eq!(first_failure.is_some(), metrics.fully_delivered < metrics.frames);
+    let Some(failed) = first_failure else { return };
+    let mut frame = None;
+    let events = text
+        .lines()
+        .filter(|line| match parse_trace_line(line).expect("valid trace line") {
+            TraceLine::FrameStart { frame: f } => {
+                frame = Some(f);
+                false
+            }
+            TraceLine::Event(_) => frame == Some(failed),
+            _ => false,
+        })
+        .count();
+    assert!(events > 0, "the failing frame's trace is empty");
 }

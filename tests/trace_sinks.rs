@@ -1,16 +1,20 @@
 //! Integration tests for the streaming trace-sink subsystem: the
-//! acceptance bar is a 10,000-frame traced `parallel_sweep` whose resident
-//! trace memory stays bounded by the per-frame ring capacity while the
-//! merged JSONL file carries every frame in sweep order.
+//! acceptance bar is a 10,000-frame `parallel_sweep` with one JSONL sink
+//! per point, whose resident trace memory stays bounded by the per-frame
+//! ring capacity while the point files carry every frame in order.
 //!
-//! Run with `cargo test --features trace`; the whole file compiles away
-//! otherwise.
-#![cfg(feature = "trace")]
+//! Tests that drive the engine check the contract of the build they run
+//! in: with `--features fdb-core/trace` the events are captured; without
+//! it `run_link` refuses the sink with `PhyError::TraceSink` before any
+//! frame runs or any file is created.
 
-use fd_backscatter::phy::trace::{parse_trace_line, TraceLine, TraceSinkSpec};
+use fd_backscatter::phy::trace::{
+    parse_trace_line, JsonlFileSink, TraceLine, TraceSinkSpec, ENABLED,
+};
 use fd_backscatter::prelude::*;
 use fd_backscatter::sim::runner::derive_seed;
-use fd_backscatter::sim::{parallel_sweep_traced, MeasureSpec};
+use fd_backscatter::sim::{parallel_sweep, MeasureSpec};
+use fd_backscatter::testing::traced_or_refused;
 
 /// The cheapest frame the PHY supports: CW carrier, near-noiseless field,
 /// minimum samples per chip, one payload byte, half-duplex (no feedback
@@ -30,13 +34,20 @@ fn ten_thousand_frame_sweep_streams_all_frames_in_order_with_bounded_memory() {
     const FRAMES_PER_POINT: u64 = 250;
     let cfg = cheap_cfg();
     let frame_cap = cfg.phy.trace_ring_capacity();
-    let out = std::env::temp_dir().join(format!(
-        "fdb_trace_sinks_10k_{}.jsonl",
-        std::process::id()
-    ));
+    let part = |p: u64| {
+        std::env::temp_dir().join(format!(
+            "fdb_trace_sinks_10k_{}.part{p}.jsonl",
+            std::process::id()
+        ))
+    };
 
+    // One sink per point, keyed to the point (not the worker), so the
+    // files read back in point order are independent of scheduling.
     let points: Vec<u64> = (0..POINTS as u64).collect();
-    let results = parallel_sweep_traced(&points, 8, &out, frame_cap, |_, &p, sink| {
+    let results = parallel_sweep(&points, 8, |&p| {
+        let mut sink = JsonlFileSink::create(part(p))
+            .expect("part file")
+            .with_frame_cap(frame_cap);
         let spec = MeasureSpec {
             frames: FRAMES_PER_POINT,
             payload_len: 1,
@@ -45,18 +56,33 @@ fn ten_thousand_frame_sweep_streams_all_frames_in_order_with_bounded_memory() {
             trace: Default::default(),
             faults: None,
         };
-        let metrics =
-            run_link(&cfg, &spec, LinkRun::new().with_sink(sink)).expect("point measures");
-        (metrics, sink.peak_staged_bytes())
-    })
-    .expect("traced sweep completes");
+        let run = LinkRun::new().with_sink(&mut sink);
+        let metrics = traced_or_refused(run_link(&cfg, &spec, run));
+        let peak = sink.peak_staged_bytes();
+        let summary = sink.finish().expect("sink closes");
+        metrics.map(|m| (m, peak, summary.frames))
+    });
+    let text: String = points
+        .iter()
+        .map(|&p| {
+            let text = std::fs::read_to_string(part(p)).expect("part file exists");
+            std::fs::remove_file(part(p)).ok();
+            text
+        })
+        .collect();
+    if !ENABLED {
+        assert!(results.iter().all(Option::is_none));
+        assert!(text.is_empty(), "a refused sink must stay empty");
+        return;
+    }
 
     assert_eq!(results.len(), POINTS);
     // Resident trace memory: each point's sink never staged more than one
     // ring-capacity frame (generous 300 bytes per event line + markers).
     let staged_bound = 300 * (frame_cap + 2);
-    for (metrics, peak) in &results {
+    for (metrics, peak, frames) in results.iter().flatten() {
         assert_eq!(metrics.frames, FRAMES_PER_POINT);
+        assert_eq!(*frames, FRAMES_PER_POINT);
         assert!(
             *peak <= staged_bound,
             "sink staged {peak} bytes; per-frame bound is {staged_bound}"
@@ -67,15 +93,12 @@ fn ten_thousand_frame_sweep_streams_all_frames_in_order_with_bounded_memory() {
         assert!(metrics.trace_dropped > 0, "tiny cap never overflowed");
     }
 
-    // The merged file: every point's frames present, in sweep order, with
-    // frame indices restarting 0..FRAMES_PER_POINT per point, and events
-    // inside every frame.
-    let text = std::fs::read_to_string(&out).expect("merged trace exists");
+    // The point files in point order: every frame present, with frame
+    // indices restarting 0..FRAMES_PER_POINT per point, and events inside
+    // every frame.
     let (mut frames_seen, mut expected_frame, mut events_in_frame) = (0u64, 0u64, 0u64);
     for (i, line) in text.lines().enumerate() {
-        match parse_trace_line(line)
-            .unwrap_or_else(|e| panic!("{}:{}: {e}", out.display(), i + 1))
-        {
+        match parse_trace_line(line).unwrap_or_else(|e| panic!("line {}: {e}", i + 1)) {
             TraceLine::FrameStart { frame } => {
                 assert_eq!(
                     frame,
@@ -98,9 +121,8 @@ fn ten_thousand_frame_sweep_streams_all_frames_in_order_with_bounded_memory() {
     assert_eq!(
         frames_seen,
         POINTS as u64 * FRAMES_PER_POINT,
-        "merged file must contain every frame of the sweep"
+        "the point files must contain every frame of the sweep"
     );
-    std::fs::remove_file(&out).ok();
 }
 
 #[test]
@@ -119,12 +141,10 @@ fn ring_spec_only_adds_trace_counters() {
 
     // A live sink only adds the trace counters — every PHY-level metric
     // stays identical.
-    let traced = run_link(
-        &cfg,
-        &spec.clone().with_trace(TraceSinkSpec::Ring { capacity: Some(32) }),
-        LinkRun::new(),
-    )
-    .unwrap();
+    let ring = spec.clone().with_trace(TraceSinkSpec::Ring { capacity: Some(32) });
+    let Some(traced) = traced_or_refused(run_link(&cfg, &ring, LinkRun::new())) else {
+        return;
+    };
     assert!(traced.trace_events > 0);
     assert_eq!(traced.frames, new_path.frames);
     assert_eq!(traced.fully_delivered, new_path.fully_delivered);
@@ -144,7 +164,7 @@ fn ring_spec_only_adds_trace_counters() {
 /// with no event lost or double-counted across the seam.
 #[test]
 fn event_cap_and_rotation_coincide_on_one_frame_boundary() {
-    use fd_backscatter::phy::trace::{JsonlFileSink, TraceEvent, TraceSink};
+    use fd_backscatter::phy::trace::{TraceEvent, TraceSink};
 
     let path = std::env::temp_dir().join(format!(
         "fdb_trace_sinks_caprot_{}.jsonl",
@@ -238,7 +258,11 @@ fn jsonl_spec_through_run_link_round_trips_every_event() {
         trace: TraceSinkSpec::jsonl(path.display().to_string()),
         faults: None,
     };
-    let metrics = run_link(&cfg, &spec, LinkRun::new()).unwrap();
+    let _ = std::fs::remove_file(&path);
+    let Some(metrics) = traced_or_refused(run_link(&cfg, &spec, LinkRun::new())) else {
+        assert!(!path.exists(), "a refused run must not create the trace file");
+        return;
+    };
     assert!(metrics.trace_events > 0);
     assert_eq!(metrics.trace_dropped, 0, "uncapped sink must not drop");
 

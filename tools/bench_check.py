@@ -8,7 +8,7 @@ named by FDB_ALLOC_JSON. This tool turns those streams into a committed
 trajectory file, and gates CI on it:
 
   # run the benches, collecting machine-readable results
-  FDB_BENCH_JSON=target/bench.jsonl cargo bench -p fdb-bench --no-default-features
+  FDB_BENCH_JSON=target/bench.jsonl cargo bench -p fdb-bench
 
   # run the counting-allocator suite, collecting steady-state alloc counts
   FDB_ALLOC_JSON=target/alloc.jsonl cargo test --release --test alloc_steady_state
