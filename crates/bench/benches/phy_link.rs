@@ -188,10 +188,9 @@ fn bench_full_link(c: &mut Criterion) {
                     .blocks_ok()
             })
         });
-        // The per-sample reference engine on the same workload. In a
-        // non-trace build `run_frame` above runs the block pipeline, so
-        // this pair is the end-to-end block-vs-scalar comparison (in a
-        // trace build both names measure the reference engine).
+        // The per-sample reference engine on the same workload. `run_frame`
+        // above runs the block pipeline in every build, so this pair is
+        // the end-to-end block-vs-scalar comparison.
         g.bench_function(format!("run_frame_64B_{name}_reference"), |b| {
             let mut rng = ChaCha8Rng::seed_from_u64(1);
             let mut link = FdLink::new(cfg.clone(), &mut rng).unwrap();

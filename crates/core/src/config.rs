@@ -125,8 +125,9 @@ pub struct PhyConfig {
     /// without the field get the verified default.
     #[serde(default)]
     pub sync: SyncPolicy,
-    /// Per-frame trace ring capacity in events (`trace` feature); `None`
-    /// — including configs written before the field existed — resolves to
+    /// Per-frame trace ring capacity in events, at most
+    /// [`crate::trace::MAX_TRACE_CAPACITY`]; `None` — including configs
+    /// written before the field existed — resolves to
     /// [`crate::trace::DEFAULT_TRACE_CAPACITY`] via
     /// [`trace_ring_capacity`](PhyConfig::trace_ring_capacity).
     #[serde(default)]
@@ -238,6 +239,9 @@ impl PhyConfig {
                 field: "trace_capacity",
                 reason: "must be ≥ 1 (omit the field for the default)".into(),
             });
+        }
+        if let Some(capacity) = self.trace_capacity {
+            crate::trace::check_capacity("trace_capacity", capacity)?;
         }
         Ok(())
     }
@@ -370,11 +374,15 @@ mod tests {
         c.trace_capacity = Some(128);
         assert_eq!(c.trace_ring_capacity(), 128);
         assert!(c.validate().is_ok());
-        c.trace_capacity = Some(0);
-        assert!(matches!(
-            c.validate(),
-            Err(PhyError::InvalidConfig { field: "trace_capacity", .. })
-        ));
+        c.trace_capacity = Some(crate::trace::MAX_TRACE_CAPACITY);
+        assert!(c.validate().is_ok());
+        for refused in [0, crate::trace::MAX_TRACE_CAPACITY + 1, 1 << 50] {
+            c.trace_capacity = Some(refused);
+            assert!(matches!(
+                c.validate(),
+                Err(PhyError::InvalidConfig { field: "trace_capacity", .. })
+            ));
+        }
     }
 
     #[test]

@@ -37,20 +37,20 @@
 //! | [`link`] | the sample-synchronous two-device full-duplex link |
 //! | [`scratch`] | per-link arena of reusable frame-engine working buffers |
 //! | [`network`] | K coexisting links with first-order mutual scattering |
-//! | [`trace`] | frame-level per-stage diagnostics (captured under the `trace` feature) |
+//! | [`trace`] | frame-level per-stage diagnostics through caller-owned sinks |
 //! | [`seed`] | deterministic seed derivation shared by every per-frame stream |
 //! | [`hash`] | canonical JSON + stable 128-bit content addressing for cached results |
 //! | [`error`] | error types |
 //!
 //! ## Feature flags
 //!
-//! * `trace` — [`link::FdLink::run_frame`] takes the per-sample reference
-//!   engine and records a [`trace::FrameTrace`] of per-stage events onto
-//!   each [`link::FrameOutcome`]. Off by default; when disabled the block
-//!   engine runs, its hot loop contains no tracing code at all, and runs
-//!   that attach a sink are refused ([`trace::ENABLED`]). This is the
-//!   workspace's only `trace` feature: the crates above compile their sink
-//!   plumbing in every build and check [`trace::ENABLED`] at run time.
+//! * `trace` — sets [`trace::ENABLED`], and nothing else. The trace
+//!   probes, the sinks and the drivers above them compile in every build,
+//!   and an untraced frame runs on the block engine in every build. With
+//!   the feature, a frame that attaches a sink runs on the per-sample
+//!   reference engine and records its events; without it, such a frame
+//!   is refused with [`PhyError::TraceSink`]. Off by default; the
+//!   workspace's only feature.
 
 #![deny(missing_docs)]
 #![deny(unsafe_code)]

@@ -25,11 +25,12 @@
 //! optional abort-on-NACK reflex, and reports everything a MAC needs
 //! (delivery, per-block status, feedback timeline, airtime, energy).
 //!
-//! Two frame engines share those semantics byte-for-byte: the per-sample
-//! reference loop ([`FdLink::run_frame_reference`], also the `trace`-build
-//! engine, whose probes need every sample) and the segmented block
-//! pipeline ([`FdLink::run_frame_block`], the non-trace `run_frame`
-//! engine). See `run_frame_block`'s docs for the edges that split blocks.
+//! Two frame engines share those semantics byte-for-byte: the segmented
+//! block pipeline ([`FdLink::run_frame_block`], what `run_frame` runs)
+//! and the per-sample reference loop ([`FdLink::run_frame_reference`],
+//! the test oracle, which also runs every frame that streams trace
+//! events, because its probes need every sample). See
+//! `run_frame_block`'s docs for the edges that split blocks.
 
 use crate::config::PhyConfig;
 use crate::error::PhyError;
@@ -37,9 +38,7 @@ use crate::frame::HEADER_BITS;
 use crate::rx::{DataReceiver, RxResult, RxState};
 use crate::scratch::LinkScratch;
 use crate::sic::SelfInterferenceCanceller;
-use crate::trace::TraceSink;
-#[cfg(feature = "trace")]
-use crate::trace::{FrameTrace, RingSink, TraceEvent};
+use crate::trace::{TraceEvent, TraceSink};
 use crate::tx::DataTransmitter;
 use fdb_ambient::{Ambient, AmbientConfig};
 use fdb_channel::awgn::Awgn;
@@ -264,7 +263,7 @@ impl RunOptions {
 /// points that replaced the `run_frame_faulted` /
 /// `run_frame_faulted_into` variant explosion.
 ///
-/// `FrameRun::default()` is a clean, ring-traced frame (identical to
+/// `FrameRun::default()` is a clean, untraced frame (identical to
 /// [`FdLink::run_frame`]); attach what the run needs through the
 /// constructors:
 ///
@@ -278,16 +277,15 @@ pub struct FrameRun<'a> {
     /// engine's own deterministic generator, never from the run's `rng`.
     pub faults: Option<&'a mut FrameFaults>,
     /// Caller-owned trace sink receiving the frame's diagnostic events
-    /// instead of the outcome's in-memory ring (`FrameOutcome::trace`
-    /// stays an empty placeholder). The caller owns frame bracketing:
-    /// call `sink.begin_frame` / `sink.end_frame` around the run. Builds
-    /// whose engine cannot trace ([`crate::trace::ENABLED`] is `false`)
-    /// refuse the frame with [`PhyError::TraceSink`].
+    /// (`None` = untraced). The caller owns frame bracketing: call
+    /// `sink.begin_frame` / `sink.end_frame` around the run. Builds whose
+    /// engine cannot trace ([`crate::trace::ENABLED`] is `false`) refuse
+    /// the frame with [`PhyError::TraceSink`].
     pub sink: Option<&'a mut dyn TraceSink>,
 }
 
 impl<'a> FrameRun<'a> {
-    /// A clean, ring-traced frame — what [`FdLink::run_frame`] runs.
+    /// A clean, untraced frame — what [`FdLink::run_frame`] runs.
     pub fn clean() -> Self {
         FrameRun::default()
     }
@@ -297,8 +295,7 @@ impl<'a> FrameRun<'a> {
         FrameRun { faults, sink: None }
     }
 
-    /// Streams the frame's diagnostic events into `sink` instead of the
-    /// outcome's in-memory ring.
+    /// Streams the frame's diagnostic events into `sink`.
     pub fn with_sink(mut self, sink: &'a mut dyn TraceSink) -> Self {
         self.sink = Some(sink);
         self
@@ -375,9 +372,6 @@ pub struct FrameOutcome {
     /// (all zero unless the frame ran with an injection schedule — see
     /// [`FrameRun::faulted`]).
     pub fault_activations: FaultActivations,
-    /// Per-stage diagnostic event trace of the frame (`trace` feature).
-    #[cfg(feature = "trace")]
-    pub trace: FrameTrace,
 }
 
 impl Default for FrameOutcome {
@@ -402,25 +396,11 @@ impl Default for FrameOutcome {
             rx_timing_corrections: 0,
             rx_sync_peak: 0.0,
             fault_activations: FaultActivations::default(),
-            #[cfg(feature = "trace")]
-            trace: FrameTrace::new(1),
         }
     }
 }
 
 impl FrameOutcome {
-    /// The outcome's own event ring, which `run_frame` fills when no sink
-    /// is attached; `None` unless the engine traces
-    /// ([`crate::trace::ENABLED`]).
-    pub fn ring_trace(&self) -> Option<&crate::trace::FrameTrace> {
-        #[cfg(feature = "trace")]
-        {
-            Some(&self.trace)
-        }
-        #[cfg(not(feature = "trace"))]
-        None
-    }
-
     /// Count of correctly delivered blocks.
     pub fn blocks_ok(&self) -> usize {
         self.delivered
@@ -539,13 +519,9 @@ impl FdLink {
         &self.tag_b
     }
 
-    /// Runs one frame through the link.
-    ///
-    /// With the `trace` feature on, the frame's diagnostic events land in a
-    /// fresh bounded [`crate::trace::RingSink`] (capacity from
-    /// `PhyConfig::trace_ring_capacity`) attached as `FrameOutcome::trace`.
-    /// Use [`run_frame_with`](FdLink::run_frame_with) to attach a fault
-    /// schedule and/or stream the events elsewhere instead.
+    /// Runs one clean, untraced frame through the link on the block
+    /// engine. Use [`run_frame_with`](FdLink::run_frame_with) to attach a
+    /// fault schedule and/or a trace sink.
     pub fn run_frame<R: Rng + ?Sized>(
         &mut self,
         payload: &[u8],
@@ -557,9 +533,8 @@ impl FdLink {
 
     /// Runs one frame with the [`FrameRun`] attachments: an optional
     /// scripted impairment schedule injected into the channel path, and
-    /// an optional caller-owned trace sink replacing the outcome's
-    /// in-memory ring (refused with [`PhyError::TraceSink`] unless
-    /// [`crate::trace::ENABLED`]).
+    /// an optional caller-owned trace sink (refused with
+    /// [`PhyError::TraceSink`] unless [`crate::trace::ENABLED`]).
     ///
     /// Faults draw randomness only from the [`FrameFaults`] engine's own
     /// deterministic generator, never from `rng`, so the main stream's
@@ -582,17 +557,20 @@ impl FdLink {
     ///
     /// This is the allocation-free steady-state entry point: every owned
     /// buffer already on `out` (the delivered payload and block list, the
-    /// feedback timeline, the partial-block staging, the trace ring) is
-    /// harvested and refilled in place, and the engines borrow the link's
+    /// feedback timeline, the partial-block staging) is harvested and
+    /// refilled in place, and the engines borrow the link's
     /// [`LinkScratch`] arena for their working sets. After a one-frame
     /// warmup, re-running with the same `out` performs no heap allocation.
     /// Every field of `out` is overwritten; stale state never leaks into
     /// the new frame's result.
     ///
-    /// An attached sink is refused with [`PhyError::TraceSink`] unless the
-    /// engine traces ([`trace::ENABLED`](crate::trace::ENABLED)). Callers
-    /// that drive `FdLink` directly have no per-run check, so this guard is
-    /// per frame: one `is_some` test, compiled out of trace builds.
+    /// The engine follows the sink, the same way in every build: an
+    /// untraced frame runs on the block pipeline; a traced one runs on
+    /// the per-sample reference, whose probes poll the receiver at every
+    /// sample (which the block pipeline by design does not), and is
+    /// refused with [`PhyError::TraceSink`] unless the engine traces
+    /// ([`trace::ENABLED`](crate::trace::ENABLED)). Both engines produce
+    /// byte-identical `FrameOutcome`s.
     pub fn run_frame_into<R: Rng + ?Sized>(
         &mut self,
         payload: &[u8],
@@ -601,47 +579,22 @@ impl FdLink {
         run: FrameRun<'_>,
         out: &mut FrameOutcome,
     ) -> Result<(), PhyError> {
-        if run.sink.is_some() && !crate::trace::ENABLED {
-            return Err(PhyError::TraceSink {
+        match run.sink {
+            None => self.run_frame_block_into(payload, opts, rng, run.faults, out),
+            Some(_) if !crate::trace::ENABLED => Err(PhyError::TraceSink {
                 reason: "a trace sink was attached, but this build lacks `fdb-core/trace`".into(),
-            });
+            }),
+            sink => self.run_frame_scalar(payload, opts, rng, run.faults, sink, out),
         }
-        // Trace builds take the per-sample reference pipeline — its probes
-        // poll the receiver at every sample, which the block pipeline by
-        // design does not. Non-trace builds take the block pipeline; both
-        // produce byte-identical `FrameOutcome`s.
-        #[cfg(feature = "trace")]
-        {
-            match run.sink {
-                Some(sink) => {
-                    // Caller-owned sink: the outcome's ring stays an empty
-                    // placeholder (its storage is retained for later
-                    // ring-traced frames).
-                    out.trace.reset(1);
-                    self.run_frame_scalar(payload, opts, rng, run.faults, sink, out)
-                }
-                None => {
-                    let mut trace = std::mem::take(&mut out.trace);
-                    trace.reset(self.cfg.phy.trace_ring_capacity());
-                    let mut ring = RingSink::from_trace(trace);
-                    let res =
-                        self.run_frame_scalar(payload, opts, rng, run.faults, &mut ring, out);
-                    out.trace = ring.into_trace();
-                    res
-                }
-            }
-        }
-        #[cfg(not(feature = "trace"))]
-        self.run_frame_block_into(payload, opts, rng, run.faults, out)
     }
 
     /// Runs one frame through the preserved per-sample reference pipeline.
     ///
     /// This is the original scalar loop, kept always-compiled as (a) the
     /// oracle the block pipeline is equivalence-tested against and (b) the
-    /// baseline the `fdb-bench` pairs measure speedups from. With the
-    /// `trace` feature the diagnostic events land in the outcome's ring,
-    /// exactly like [`FdLink::run_frame`].
+    /// baseline the `fdb-bench` pairs measure speedups from. It records
+    /// no trace events; attach a sink through
+    /// [`run_frame_with`](FdLink::run_frame_with) for those.
     pub fn run_frame_reference<R: Rng + ?Sized>(
         &mut self,
         payload: &[u8],
@@ -665,26 +618,18 @@ impl FdLink {
         faults: Option<&mut FrameFaults>,
         out: &mut FrameOutcome,
     ) -> Result<(), PhyError> {
-        #[cfg(feature = "trace")]
-        {
-            let mut trace = std::mem::take(&mut out.trace);
-            trace.reset(self.cfg.phy.trace_ring_capacity());
-            let mut ring = RingSink::from_trace(trace);
-            let res = self.run_frame_scalar(payload, opts, rng, faults, &mut ring, out);
-            out.trace = ring.into_trace();
-            res
-        }
-        #[cfg(not(feature = "trace"))]
-        self.run_frame_scalar(payload, opts, rng, faults, out)
+        self.run_frame_scalar(payload, opts, rng, faults, None, out)
     }
 
+    /// The per-sample engine. Each trace probe (and the cursor it polls)
+    /// sits behind `sink`, so a run without one records and polls nothing.
     fn run_frame_scalar<R: Rng + ?Sized>(
         &mut self,
         payload: &[u8],
         opts: &RunOptions,
         rng: &mut R,
         mut faults: Option<&mut FrameFaults>,
-        #[cfg(feature = "trace")] sink: &mut dyn TraceSink,
+        mut sink: Option<&mut dyn TraceSink>,
         out: &mut FrameOutcome,
     ) -> Result<(), PhyError> {
         // Split the link into disjoint field borrows so the engine can
@@ -774,13 +719,11 @@ impl FdLink {
         let mut aborted_at = None;
         let fade_every = cfg.fading_advance_bits * spb;
 
-        // Change-detection cursors for the polled receiver-side probes.
-        #[cfg(feature = "trace")]
+        // Change-detection cursors for the polled receiver-side probes
+        // (advanced only while a sink is attached).
         let (mut tr_chips, mut tr_bits, mut tr_blocks, mut tr_halves, mut tr_pilots) =
             (0usize, 0usize, 0usize, 0usize, 0usize);
-        #[cfg(feature = "trace")]
         let mut tr_rejects = 0usize;
-        #[cfg(feature = "trace")]
         let mut tr_pilots_checked = false;
 
         let mut samples_run = max_samples;
@@ -796,13 +739,14 @@ impl FdLink {
             let fx = match faults.as_deref_mut() {
                 Some(f) => {
                     let fx = f.effects_at(t);
-                    #[cfg(feature = "trace")]
-                    for (kind, active) in f.drain_transitions() {
-                        sink.record(TraceEvent::Fault {
-                            sample: t,
-                            kind: kind.into(),
-                            active,
-                        });
+                    if let Some(s) = sink.as_deref_mut() {
+                        for (kind, active) in f.drain_transitions() {
+                            s.record(TraceEvent::Fault {
+                                sample: t,
+                                kind: kind.into(),
+                                active,
+                            });
+                        }
                     }
                     if fx.ppm_offset != b_fault_ppm {
                         b_fault_ppm = fx.ppm_offset;
@@ -864,16 +808,14 @@ impl FdLink {
             tag_b.charge_awake(dt, true);
 
             // --- per-chip trace snapshot -------------------------------
-            #[cfg(feature = "trace")]
             let chip_boundary = t % phy.samples_per_chip == 0;
-            #[cfg(feature = "trace")]
-            if chip_boundary {
-                sink.record(TraceEvent::TxChip {
+            if let Some(s) = sink.as_deref_mut().filter(|_| chip_boundary) {
+                s.record(TraceEvent::TxChip {
                     sample: t,
                     chip: t / phy.samples_per_chip,
                     state: a_state,
                 });
-                sink.record(TraceEvent::Channel {
+                s.record(TraceEvent::Channel {
                     sample: t,
                     source_power_w: x * x,
                     env_a,
@@ -889,9 +831,11 @@ impl FdLink {
             let sic_b_out = sic_b
                 .correct(env_b, b_state)
                 .map(|v| if b_state { v * fx.sic_gain_b } else { v });
-            #[cfg(feature = "trace")]
-            if chip_boundary || sic_b_out.is_none() {
-                sink.record(TraceEvent::Sic {
+            if let Some(s) = sink
+                .as_deref_mut()
+                .filter(|_| chip_boundary || sic_b_out.is_none())
+            {
+                s.record(TraceEvent::Sic {
                     sample: t,
                     device: 'B',
                     own_state: b_state,
@@ -924,31 +868,30 @@ impl FdLink {
                         fb_enc.push_bit(b);
                     }
                 }
-                #[cfg(feature = "trace")]
-                sink.record(TraceEvent::RxRearm {
-                    sample: t,
-                    attempts: rx.sync_attempts(),
-                });
+                if let Some(s) = sink.as_deref_mut() {
+                    s.record(TraceEvent::RxRearm {
+                        sample: t,
+                        attempts: rx.sync_attempts(),
+                    });
+                }
             }
             if !b_was_locked && rx.state() != RxState::Acquiring {
                 b_was_locked = true;
                 b_epoch = Some(t + phy.feedback_guard_bits * spb);
-                #[cfg(feature = "trace")]
-                {
+                if let Some(s) = sink.as_deref_mut() {
                     let (score, _) = rx.sync_lock_info().unwrap_or((0.0, 0));
-                    sink.record(TraceEvent::RxLock {
+                    s.record(TraceEvent::RxLock {
                         sample: t,
                         score,
                         peak_seen: rx.sync_peak_seen(),
                     });
                 }
             }
-            #[cfg(feature = "trace")]
-            {
+            if let Some(s) = sink.as_deref_mut() {
                 let rejections = rx.rejections();
                 if rejections.len() != tr_rejects {
                     for r in rejections.iter().skip(tr_rejects) {
-                        sink.record(TraceEvent::RxSyncReject {
+                        s.record(TraceEvent::RxSyncReject {
                             sample: t,
                             score: r.score,
                             sharpness: r.sharpness,
@@ -959,7 +902,7 @@ impl FdLink {
                 }
                 if rx.chips_seen() != tr_chips {
                     tr_chips = rx.chips_seen();
-                    sink.record(TraceEvent::RxChip {
+                    s.record(TraceEvent::RxChip {
                         sample: t,
                         energy: rx.last_chip_energy(),
                         threshold: rx.slicer_threshold(),
@@ -968,13 +911,13 @@ impl FdLink {
                 if rx.bits_decoded() != tr_bits {
                     tr_bits = rx.bits_decoded();
                     if let Some(bit) = rx.last_bit() {
-                        sink.record(TraceEvent::RxBit { sample: t, index: tr_bits - 1, bit });
+                        s.record(TraceEvent::RxBit { sample: t, index: tr_bits - 1, bit });
                     }
                 }
                 let blocks = rx.blocks();
                 if blocks.len() != tr_blocks {
                     for (i, b) in blocks.iter().enumerate().skip(tr_blocks) {
-                        sink.record(TraceEvent::RxBlock { sample: t, index: i, ok: b.ok });
+                        s.record(TraceEvent::RxBlock { sample: t, index: i, ok: b.ok });
                     }
                     tr_blocks = blocks.len();
                 }
@@ -985,9 +928,11 @@ impl FdLink {
                 let sic_a_out = sic_a
                     .correct(env_a, a_state)
                     .map(|v| if a_state { v * fx.sic_gain_a } else { v });
-                #[cfg(feature = "trace")]
-                if chip_boundary || sic_a_out.is_none() {
-                    sink.record(TraceEvent::Sic {
+                if let Some(s) = sink
+                    .as_deref_mut()
+                    .filter(|_| chip_boundary || sic_a_out.is_none())
+                {
+                    s.record(TraceEvent::Sic {
                         sample: t,
                         device: 'A',
                         own_state: a_state,
@@ -997,16 +942,15 @@ impl FdLink {
                 }
                 if let Some(corrected) = sic_a_out {
                     let decision = fb_dec.push(corrected);
-                    #[cfg(feature = "trace")]
-                    {
+                    if let Some(s) = sink.as_deref_mut() {
                         if fb_dec.halves_seen() != tr_halves {
                             tr_halves = fb_dec.halves_seen();
-                            sink.record(TraceEvent::FbHalf { sample: t, integral: fb_dec.last_half() });
+                            s.record(TraceEvent::FbHalf { sample: t, integral: fb_dec.last_half() });
                         }
                         if fb_dec.pilots_consumed() != tr_pilots {
                             tr_pilots = fb_dec.pilots_consumed();
                             if let Some(&margin) = fb_dec.pilot_margins().last() {
-                                sink.record(TraceEvent::FbPilot {
+                                s.record(TraceEvent::FbPilot {
                                     sample: t,
                                     index: tr_pilots - 1,
                                     margin,
@@ -1014,7 +958,7 @@ impl FdLink {
                             }
                             if tr_pilots == crate::feedback::PILOTS.len() && !tr_pilots_checked {
                                 tr_pilots_checked = true;
-                                sink.record(TraceEvent::FbPilotsChecked {
+                                s.record(TraceEvent::FbPilotsChecked {
                                     sample: t,
                                     verified: fb_dec.pilots_verified(),
                                 });
@@ -1022,12 +966,13 @@ impl FdLink {
                         }
                     }
                     if let Some(decision) = decision {
-                        #[cfg(feature = "trace")]
-                        sink.record(TraceEvent::FbBit {
-                            sample: t,
-                            bit: decision.bit,
-                            margin: decision.margin,
-                        });
+                        if let Some(s) = sink.as_deref_mut() {
+                            s.record(TraceEvent::FbBit {
+                                sample: t,
+                                bit: decision.bit,
+                                margin: decision.margin,
+                            });
+                        }
                         out.feedback.push(FeedbackEvent {
                             sample: t,
                             bit: decision.bit,
@@ -1040,8 +985,9 @@ impl FdLink {
                         {
                             tx.abort();
                             aborted_at = Some(t);
-                            #[cfg(feature = "trace")]
-                            sink.record(TraceEvent::Abort { sample: t });
+                            if let Some(s) = sink.as_deref_mut() {
+                                s.record(TraceEvent::Abort { sample: t });
+                            }
                         }
                     }
                 }
@@ -1128,10 +1074,10 @@ impl FdLink {
     /// `DataReceiver::push_acquiring` (lane-batched preamble scoring,
     /// stopping at the lock sample) while B hunts.
     ///
-    /// This is the non-trace `run_frame` engine; it is public so benches
-    /// and equivalence tests can pit it against the reference on any build.
-    /// (`FrameOutcome::trace` stays empty on trace builds — per-sample
-    /// probes are exactly what this pipeline amortises away.)
+    /// This is the engine every untraced frame runs on; it is public so
+    /// benches and equivalence tests can pit it against the reference.
+    /// It records no trace events: per-sample probes are exactly what
+    /// this pipeline amortises away.
     pub fn run_frame_block<R: Rng + ?Sized>(
         &mut self,
         payload: &[u8],
@@ -1169,8 +1115,6 @@ impl FdLink {
         } = self;
         let source_amp = *source_amp;
         begin_outcome(scratch, out);
-        #[cfg(feature = "trace")]
-        out.trace.reset(1);
         let phy = &cfg.phy;
         let dt = phy.sample_period_s();
         let spb = phy.samples_per_bit();

@@ -1,9 +1,9 @@
 //! Frame-level diagnostics: structured per-stage event capture through
 //! pluggable **trace sinks**.
 //!
-//! When the `trace` cargo feature is enabled, [`crate::link::FdLink::run_frame`]
-//! emits a [`TraceEvent`] stream through a [`TraceSink`]. The stream covers
-//! every stage of the PHY pipeline:
+//! A frame run with a caller-owned [`TraceSink`] attached
+//! (`FrameRun::with_sink`) emits a [`TraceEvent`] stream into it. The
+//! stream covers every stage of the PHY pipeline:
 //!
 //! * **tx** — chip emission ([`TraceEvent::TxChip`]);
 //! * **channel** — instantaneous source power and both detector envelopes
@@ -31,21 +31,18 @@
 //!
 //! ## Choosing a sink backend
 //!
-//! * [`RingSink`] — the default inside `run_frame`: a bounded in-memory
-//!   ring ([`FrameTrace`]) carried on `FrameOutcome::trace`. When it
+//! There is one trace path: the caller's sink. Three backends store
+//! events, and one discards them:
+//!
+//! * [`RingSink`] — a bounded in-memory ring ([`FrameTrace`]). When it
 //!   overflows, the *oldest* events are evicted and counted, so the tail
 //!   of a frame — where failures usually manifest — is always retained.
-//!   Pick it to inspect one frame interactively (tests, the probe CLI's
-//!   single-frame mode).
+//!   Pick it to inspect a frame interactively (tests, `probe replay`).
 //! * [`JsonlFileSink`] — streams events to a JSON-lines file, staging at
 //!   most one frame in memory and flushing on every frame boundary, with
-//!   byte/event counters and optional size-based rotation. Pick it for
-//!   long calibration sweeps where an in-memory ring would either grow
-//!   without bound or silently evict everything but the last frame.
-//! * [`CollectSink`] — unbounded in-memory `Vec`. Pick it only in tests
-//!   that assert on the full event stream of a short run.
-//! * [`NullSink`] — counts and discards. Pick it when only the
-//!   `events_recorded` tally matters.
+//!   byte/event counters. Pick it for long calibration sweeps where an
+//!   in-memory ring would either grow without bound or silently evict
+//!   everything but the last frame.
 //! * [`ChannelSink`] — stages frames exactly like [`JsonlFileSink`] but
 //!   sends each completed frame's JSONL block through an in-process
 //!   channel as a [`TraceChunk`] instead of writing a file. Pick it to
@@ -53,19 +50,22 @@
 //!   chunks over its client socket, and because both sinks share one
 //!   staging engine the streamed bytes equal the file sink's output
 //!   byte-for-byte.
+//! * [`NullSink`] — counts and discards. Pick it when only the
+//!   `events_recorded` tally matters.
 //!
 //! Sink selection is serialisable through [`TraceSinkSpec`] (carried on
 //! `fdb_sim::MeasureSpec`), so a scenario JSON can request streaming
-//! capture without code changes.
+//! capture without code changes. Ring capacities and per-frame caps are
+//! bounded by [`MAX_TRACE_CAPACITY`].
 //!
-//! The `trace` feature of this crate is the only switch: it picks the
-//! frame engine ([`ENABLED`]). Every sink, the [`TraceSinkSpec`] plumbing
-//! and the drivers above it compile in every build. Without the feature
-//! `run_frame` runs the block pipeline, which contains no tracing code
-//! at all, and a run that asks for a sink fails with
-//! [`PhyError::TraceSink`](crate::PhyError::TraceSink) instead of
-//! recording nothing.
+//! Every build compiles the probes, the sinks and the drivers above
+//! them. An untraced frame always runs on the block pipeline, which
+//! records nothing; a traced one runs on the per-sample reference. The
+//! `trace` feature of this crate sets one boolean, [`ENABLED`]: without
+//! it a run that asks for a sink fails with [`PhyError::TraceSink`]
+//! instead of recording.
 
+use crate::error::PhyError;
 use serde::{Deserialize, Serialize};
 use std::borrow::Cow;
 use std::collections::VecDeque;
@@ -73,15 +73,32 @@ use std::fs::File;
 use std::io::{BufWriter, Write};
 use std::path::{Path, PathBuf};
 
-/// Whether this build's frame engine records trace events: `true` only
-/// with the `trace` feature, whose `run_frame` takes the per-sample
-/// reference engine. Drivers check it once per run and refuse a sink
-/// with a typed error when it is `false`.
+/// Whether this build records trace events: `true` only with the `trace`
+/// feature. Frame runs and drivers refuse a sink with
+/// [`PhyError::TraceSink`] when it is `false`.
 pub const ENABLED: bool = cfg!(feature = "trace");
 
 /// Default ring capacity in events: comfortably holds a chip-decimated
 /// 256-byte frame with full feedback activity.
 pub const DEFAULT_TRACE_CAPACITY: usize = 32_768;
+
+/// Largest ring capacity or per-frame event cap a config or sink spec
+/// may ask for (2^20 events, 32× the default). A ring preallocates its
+/// capacity, so an unchecked request could abort the process on
+/// allocation failure.
+pub const MAX_TRACE_CAPACITY: usize = 1 << 20;
+
+/// Refuses an event capacity above [`MAX_TRACE_CAPACITY`] as an invalid
+/// `field`.
+pub(crate) fn check_capacity(field: &'static str, capacity: usize) -> Result<(), PhyError> {
+    if capacity > MAX_TRACE_CAPACITY {
+        return Err(PhyError::InvalidConfig {
+            field,
+            reason: format!("{capacity} events exceeds the bound of {MAX_TRACE_CAPACITY}"),
+        });
+    }
+    Ok(())
+}
 
 /// One structured event from a single pipeline stage.
 ///
@@ -267,21 +284,6 @@ pub struct FrameTrace {
     dropped: usize,
 }
 
-impl Default for FrameTrace {
-    /// An empty trace with the default capacity *bound* but no storage —
-    /// ring memory grows on first record. This keeps `Default` cheap
-    /// enough to serve as `mem::take`'s placeholder on the frame hot
-    /// path, where the real ring is recycled through
-    /// [`FrameTrace::reset`] every frame.
-    fn default() -> Self {
-        FrameTrace {
-            events: VecDeque::new(),
-            capacity: DEFAULT_TRACE_CAPACITY,
-            dropped: 0,
-        }
-    }
-}
-
 impl FrameTrace {
     /// Creates an empty trace holding at most `capacity` events.
     pub fn new(capacity: usize) -> Self {
@@ -291,16 +293,6 @@ impl FrameTrace {
             capacity,
             dropped: 0,
         }
-    }
-
-    /// Clears the trace for reuse with a (possibly new) capacity bound,
-    /// retaining the event storage already grown — the frame hot path
-    /// recycles each outcome's ring through here instead of allocating a
-    /// fresh one per frame.
-    pub fn reset(&mut self, capacity: usize) {
-        self.events.clear();
-        self.capacity = capacity.max(1);
-        self.dropped = 0;
     }
 
     /// Appends an event, evicting the oldest once full.
@@ -398,8 +390,8 @@ pub trait TraceSink {
     }
 }
 
-/// [`TraceSink`] over a bounded [`FrameTrace`] ring — today's in-memory
-/// capture, preserving oldest-first eviction and overflow counting.
+/// [`TraceSink`] over a bounded [`FrameTrace`] ring: in-memory capture
+/// with oldest-first eviction and overflow counting.
 #[derive(Debug)]
 pub struct RingSink {
     trace: FrameTrace,
@@ -415,19 +407,12 @@ impl RingSink {
         }
     }
 
-    /// Wraps an existing (typically [`FrameTrace::reset`]) ring, reusing
-    /// its storage. The recorded counter starts at zero.
-    pub fn from_trace(trace: FrameTrace) -> Self {
-        RingSink { trace, recorded: 0 }
-    }
-
     /// The ring so far.
     pub fn trace(&self) -> &FrameTrace {
         &self.trace
     }
 
-    /// Consumes the sink, handing the ring to the caller (how
-    /// `run_frame` attaches it to `FrameOutcome::trace`).
+    /// Consumes the sink, handing the ring to the caller.
     pub fn into_trace(self) -> FrameTrace {
         self.trace
     }
@@ -479,65 +464,6 @@ impl TraceSink for NullSink {
     }
 }
 
-/// Unbounded in-memory sink for tests that assert on the full stream.
-#[derive(Debug, Default)]
-pub struct CollectSink {
-    events: Vec<TraceEvent>,
-    frames: u64,
-    frame_open: bool,
-}
-
-impl CollectSink {
-    /// A fresh, empty collector.
-    pub fn new() -> Self {
-        CollectSink::default()
-    }
-
-    /// Everything recorded so far, in order.
-    pub fn events(&self) -> &[TraceEvent] {
-        &self.events
-    }
-
-    /// Consumes the sink, returning the collected events.
-    pub fn into_events(self) -> Vec<TraceEvent> {
-        self.events
-    }
-
-    /// Completed (`begin`/`end`-bracketed) frames seen.
-    pub fn frames(&self) -> u64 {
-        self.frames
-    }
-}
-
-impl TraceSink for CollectSink {
-    fn reserve(&mut self, events: usize) {
-        self.events.reserve(events.saturating_sub(self.events.len()));
-    }
-
-    fn begin_frame(&mut self, _frame: u64) {
-        self.frame_open = true;
-    }
-
-    fn record(&mut self, event: TraceEvent) {
-        self.events.push(event);
-    }
-
-    fn end_frame(&mut self) {
-        if self.frame_open {
-            self.frames += 1;
-            self.frame_open = false;
-        }
-    }
-
-    fn events_recorded(&self) -> u64 {
-        self.events.len() as u64
-    }
-
-    fn events_dropped(&self) -> u64 {
-        0
-    }
-}
-
 // ---------------------------------------------------------------------------
 // JSONL streaming sink
 // ---------------------------------------------------------------------------
@@ -546,16 +472,13 @@ impl TraceSink for CollectSink {
 /// [`finish`](JsonlFileSink::finish)).
 #[derive(Debug, Clone, Serialize)]
 pub struct JsonlSinkSummary {
-    /// Every file written, in chronological order (rotated-out files
-    /// first, the live path last).
-    pub files: Vec<String>,
     /// Frames completed.
     pub frames: u64,
     /// Events written.
     pub events: u64,
     /// Events dropped (per-frame cap or write failure).
     pub dropped: u64,
-    /// Total bytes written across all files.
+    /// Total bytes written.
     pub bytes: u64,
 }
 
@@ -724,18 +647,12 @@ impl FrameStager {
 /// `{"frame_end":N,"events":K,"dropped":D}` line. At most one frame is
 /// staged in memory — bounded by the per-frame event cap — and the staged
 /// bytes are written and flushed on every frame boundary, so resident
-/// memory stays constant over arbitrarily long sweeps. Rotation (when
-/// enabled) also happens only on frame boundaries, so a frame is never
-/// split across files.
+/// memory stays constant over arbitrarily long sweeps.
 #[derive(Debug)]
 pub struct JsonlFileSink {
     path: PathBuf,
     writer: Option<BufWriter<File>>,
     stager: FrameStager,
-    rotate_bytes: Option<u64>,
-    /// Rotated-out files, chronological.
-    rotated: Vec<PathBuf>,
-    bytes_current: u64,
     bytes_total: u64,
     frames: u64,
     events: u64,
@@ -745,8 +662,7 @@ pub struct JsonlFileSink {
 
 impl JsonlFileSink {
     /// Creates (truncates) `path` and returns a sink streaming to it,
-    /// with the default per-frame cap ([`DEFAULT_TRACE_CAPACITY`]) and no
-    /// rotation.
+    /// with the default per-frame cap ([`DEFAULT_TRACE_CAPACITY`]).
     pub fn create(path: impl AsRef<Path>) -> std::io::Result<Self> {
         let path = path.as_ref().to_path_buf();
         let writer = BufWriter::new(File::create(&path)?);
@@ -754,9 +670,6 @@ impl JsonlFileSink {
             path,
             writer: Some(writer),
             stager: FrameStager::new(),
-            rotate_bytes: None,
-            rotated: Vec::new(),
-            bytes_current: 0,
             bytes_total: 0,
             frames: 0,
             events: 0,
@@ -772,26 +685,10 @@ impl JsonlFileSink {
         self
     }
 
-    /// Starts a new file once the current one exceeds `bytes` (checked on
-    /// frame boundaries): the live path is renamed to `<path>.1`,
-    /// `<path>.2`, … and writing continues at `path`.
-    pub fn with_rotate_bytes(mut self, bytes: Option<u64>) -> Self {
-        self.rotate_bytes = bytes;
-        self
-    }
-
     /// Largest number of bytes ever staged in memory for one frame — the
     /// resident-memory high-water mark of the sink.
     pub fn peak_staged_bytes(&self) -> usize {
         self.stager.peak_staged_bytes
-    }
-
-    /// Every file written so far, chronological (rotated first, live
-    /// path last).
-    pub fn files(&self) -> Vec<PathBuf> {
-        let mut files = self.rotated.clone();
-        files.push(self.path.clone());
-        files
     }
 
     fn fail(&mut self, e: &std::io::Error) {
@@ -803,28 +700,6 @@ impl JsonlFileSink {
         let lost = self.stager.abandon_staged();
         self.dropped += lost;
         self.events -= lost;
-    }
-
-    fn rotate(&mut self) {
-        let rotated_to = PathBuf::from(format!(
-            "{}.{}",
-            self.path.display(),
-            self.rotated.len() + 1
-        ));
-        // Close (flushing) before the rename.
-        self.writer = None;
-        if let Err(e) = std::fs::rename(&self.path, &rotated_to) {
-            self.fail(&e);
-            return;
-        }
-        match File::create(&self.path) {
-            Ok(f) => {
-                self.rotated.push(rotated_to);
-                self.bytes_current = 0;
-                self.writer = Some(BufWriter::new(f));
-            }
-            Err(e) => self.fail(&e),
-        }
     }
 
     /// Flushes any open frame and closes the sink, returning the final
@@ -839,11 +714,6 @@ impl JsonlFileSink {
         match self.error {
             Some(reason) => Err(std::io::Error::other(reason)),
             None => Ok(JsonlSinkSummary {
-                files: self
-                    .files()
-                    .iter()
-                    .map(|p| p.display().to_string())
-                    .collect(),
                 frames: self.frames,
                 events: self.events,
                 dropped: self.dropped,
@@ -899,15 +769,9 @@ impl TraceSink for JsonlFileSink {
             self.events -= staged.events;
             return;
         }
-        self.bytes_current += staged.text.len() as u64;
         self.bytes_total += staged.text.len() as u64;
         self.frames += 1;
         self.stager.recycle(staged.text);
-        if let Some(limit) = self.rotate_bytes {
-            if self.bytes_current >= limit {
-                self.rotate();
-            }
-        }
     }
 
     fn events_recorded(&self) -> u64 {
@@ -997,7 +861,6 @@ impl ChannelSink {
         match self.error {
             Some(reason) => Err(std::io::Error::other(reason)),
             None => Ok(JsonlSinkSummary {
-                files: Vec::new(),
                 frames: self.frames,
                 events: self.events,
                 dropped: self.dropped,
@@ -1088,14 +951,10 @@ pub enum TraceSinkSpec {
         /// Maximum events retained (oldest evicted).
         capacity: Option<usize>,
     },
-    /// Unbounded in-memory collection (tests only).
-    Collect,
     /// Streaming JSONL file capture.
     Jsonl {
         /// Output path.
         path: String,
-        /// Rotate the file once it exceeds this many bytes.
-        rotate_bytes: Option<u64>,
         /// Per-frame event cap; `None` uses the PHY's configured ring
         /// capacity.
         frame_cap: Option<usize>,
@@ -1103,11 +962,10 @@ pub enum TraceSinkSpec {
 }
 
 impl TraceSinkSpec {
-    /// Convenience constructor for a non-rotating JSONL capture.
+    /// Convenience constructor for a JSONL capture.
     pub fn jsonl(path: impl Into<String>) -> Self {
         TraceSinkSpec::Jsonl {
             path: path.into(),
-            rotate_bytes: None,
             frame_cap: None,
         }
     }
@@ -1119,23 +977,27 @@ impl TraceSinkSpec {
 
     /// Builds the described sink. `default_capacity` fills the
     /// unspecified ring capacity / per-frame cap (drivers pass the PHY's
-    /// configured trace ring capacity).
-    pub fn build(&self, default_capacity: usize) -> std::io::Result<Box<dyn TraceSink>> {
+    /// configured trace ring capacity). A resolved capacity above
+    /// [`MAX_TRACE_CAPACITY`] is refused with
+    /// [`PhyError::InvalidConfig`] before anything is allocated or
+    /// created; a file that cannot be created is a
+    /// [`PhyError::TraceSink`].
+    pub fn build(&self, default_capacity: usize) -> Result<Box<dyn TraceSink>, PhyError> {
         Ok(match self {
             TraceSinkSpec::Null => Box::new(NullSink::new()),
             TraceSinkSpec::Ring { capacity } => {
-                Box::new(RingSink::new(capacity.unwrap_or(default_capacity)))
+                let capacity = capacity.unwrap_or(default_capacity);
+                check_capacity("trace.capacity", capacity)?;
+                Box::new(RingSink::new(capacity))
             }
-            TraceSinkSpec::Collect => Box::new(CollectSink::new()),
-            TraceSinkSpec::Jsonl {
-                path,
-                rotate_bytes,
-                frame_cap,
-            } => Box::new(
-                JsonlFileSink::create(path)?
-                    .with_frame_cap(frame_cap.unwrap_or(default_capacity))
-                    .with_rotate_bytes(*rotate_bytes),
-            ),
+            TraceSinkSpec::Jsonl { path, frame_cap } => {
+                let frame_cap = frame_cap.unwrap_or(default_capacity);
+                check_capacity("trace.frame_cap", frame_cap)?;
+                let sink = JsonlFileSink::create(path).map_err(|e| PhyError::TraceSink {
+                    reason: e.to_string(),
+                })?;
+                Box::new(sink.with_frame_cap(frame_cap))
+            }
         })
     }
 }
@@ -1320,20 +1182,20 @@ mod tests {
     }
 
     #[test]
-    fn null_and_collect_sinks_count() {
+    fn null_and_ring_sinks_count() {
         let mut null = NullSink::new();
-        let mut collect = CollectSink::new();
+        let mut ring = RingSink::new(8);
         for i in 0..4 {
-            collect.begin_frame(i);
+            ring.begin_frame(i);
             null.record(TraceEvent::Abort { sample: i as usize });
-            collect.record(TraceEvent::Abort { sample: i as usize });
-            collect.end_frame();
+            ring.record(TraceEvent::Abort { sample: i as usize });
+            ring.end_frame();
         }
         assert_eq!(null.events_recorded(), 4);
         assert_eq!(null.events_dropped(), 0);
-        assert_eq!(collect.events_recorded(), 4);
-        assert_eq!(collect.frames(), 4);
-        assert_eq!(collect.events().len(), 4);
+        assert_eq!(ring.events_recorded(), 4);
+        assert_eq!(ring.events_dropped(), 0);
+        assert_eq!(ring.trace().len(), 4);
     }
 
     fn temp_path(name: &str) -> PathBuf {
@@ -1354,7 +1216,6 @@ mod tests {
         assert_eq!(summary.frames, 2, "finish closes the open frame");
         assert_eq!(summary.events, 3);
         assert_eq!(summary.dropped, 0);
-        assert_eq!(summary.files, vec![path.display().to_string()]);
 
         let text = std::fs::read_to_string(&path).unwrap();
         let lines: Vec<TraceLine> = text
@@ -1415,35 +1276,6 @@ mod tests {
     }
 
     #[test]
-    fn jsonl_sink_rotates_on_frame_boundaries() {
-        let path = temp_path("rotate");
-        let mut sink = JsonlFileSink::create(&path)
-            .unwrap()
-            .with_rotate_bytes(Some(1)); // rotate after every frame
-        for f in 0..3 {
-            sink.begin_frame(f);
-            sink.record(TraceEvent::Abort { sample: f as usize });
-            sink.end_frame();
-        }
-        let summary = sink.finish().unwrap();
-        assert_eq!(summary.frames, 3);
-        assert_eq!(summary.files.len(), 4, "3 rotated chunks + live file");
-        // Chronological concatenation holds all frames in order, and the
-        // final live file is empty (rotation happened after frame 2).
-        let mut frames = Vec::new();
-        for file in &summary.files {
-            let text = std::fs::read_to_string(file).unwrap();
-            for line in text.lines() {
-                if let TraceLine::FrameStart { frame } = parse_trace_line(line).unwrap() {
-                    frames.push(frame);
-                }
-            }
-            std::fs::remove_file(file).ok();
-        }
-        assert_eq!(frames, vec![0, 1, 2]);
-    }
-
-    #[test]
     fn jsonl_sink_memory_stays_bounded_by_frame_cap() {
         let path = temp_path("bounded");
         let mut sink = JsonlFileSink::create(&path).unwrap().with_frame_cap(4);
@@ -1489,9 +1321,7 @@ mod tests {
         let mut sink = JsonlFileSink::create(&path).unwrap();
         sink.begin_frame(0);
         sink.record(TraceEvent::Abort { sample: 0 });
-        // Make the write fail by replacing the open path's parent… not
-        // portable; instead simulate by dropping the writer through a
-        // rotation onto an unwritable target.
+        // Remove the file's directory under the open writer.
         std::fs::remove_dir_all(&dir).unwrap();
         sink.end_frame(); // write fails: file's directory is gone on flush…
         // Depending on the platform the flush may still succeed (the fd
@@ -1585,11 +1415,9 @@ mod tests {
             TraceSinkSpec::Null,
             TraceSinkSpec::Ring { capacity: Some(7) },
             TraceSinkSpec::Ring { capacity: None },
-            TraceSinkSpec::Collect,
             TraceSinkSpec::Jsonl {
                 path: temp_path("spec").display().to_string(),
-                rotate_bytes: Some(1024),
-                frame_cap: None,
+                frame_cap: Some(1024),
             },
         ];
         for spec in &specs {
@@ -1601,8 +1429,49 @@ mod tests {
             assert!(sink.events_recorded() <= 1);
         }
         assert!(TraceSinkSpec::Null.is_null());
-        assert!(!TraceSinkSpec::Collect.is_null());
+        assert!(!TraceSinkSpec::Ring { capacity: None }.is_null());
         std::fs::remove_file(temp_path("spec")).ok();
+    }
+
+    #[test]
+    fn sink_spec_refuses_capacities_above_the_bound() {
+        let path = temp_path("over_cap");
+        let over = MAX_TRACE_CAPACITY + 1;
+        let refused = [
+            (
+                TraceSinkSpec::Ring {
+                    capacity: Some(1 << 50),
+                },
+                16,
+            ),
+            (TraceSinkSpec::Ring { capacity: None }, over),
+            (
+                TraceSinkSpec::Jsonl {
+                    path: path.display().to_string(),
+                    frame_cap: Some(over),
+                },
+                16,
+            ),
+            (
+                TraceSinkSpec::Jsonl {
+                    path: path.display().to_string(),
+                    frame_cap: None,
+                },
+                over,
+            ),
+        ];
+        for (spec, default_capacity) in &refused {
+            let err = spec.build(*default_capacity).err();
+            assert!(
+                matches!(err, Some(PhyError::InvalidConfig { .. })),
+                "{spec:?} over {default_capacity}: {err:?}"
+            );
+        }
+        assert!(!path.exists(), "a refused spec must not create its file");
+        let at_bound = TraceSinkSpec::Ring {
+            capacity: Some(MAX_TRACE_CAPACITY),
+        };
+        assert!(at_bound.build(16).is_ok());
     }
 
     #[test]
@@ -1640,9 +1509,8 @@ mod tests {
     fn reserve_presizes_every_sink_backend() {
         let mut ring = RingSink::new(8);
         ring.reserve(1000); // clamped to the ring bound
-        let mut collect = CollectSink::new();
-        collect.reserve(64);
-        assert!(collect.events.capacity() >= 64);
+        let cap = ring.trace().events.capacity();
+        assert!((8..1000).contains(&cap), "ring reserved {cap}");
         let path = temp_path("reserve");
         let mut jsonl = JsonlFileSink::create(&path).unwrap();
         jsonl.reserve(100);

@@ -9,6 +9,7 @@ use std::path::PathBuf;
 use std::sync::Arc;
 
 use fdb_core::link::LinkConfig;
+use fdb_core::trace::TraceSinkSpec;
 use fdb_service::{serve_unix, Client, Request, Response, Service, ServiceConfig};
 use fdb_sim::{JobSpec, MeasureSpec};
 
@@ -247,6 +248,23 @@ fn invalid_submission_is_rejected_inline() {
         Response::Rejected { reason } => assert!(reason.contains("invalid job")),
         other => panic!("expected Rejected, got {other:?}"),
     }
+
+    // Trace requests from the socket are refused: a job naming a JSONL
+    // path would write that file, and a ring of 2^50 events would abort
+    // the service on allocation. Clients trace through `stream_trace`.
+    let path = dir.join("forged.jsonl");
+    let jsonl = TraceSinkSpec::jsonl(path.display().to_string());
+    for trace in [jsonl, TraceSinkSpec::Ring { capacity: Some(1 << 50) }] {
+        let JobSpec::Link { link, spec } = link_job(2, 1) else { unreachable!() };
+        let job = JobSpec::Link { link, spec: spec.with_trace(trace) };
+        let submit = Request::Submit { job, stream_trace: false, timeout_ms: 0 };
+        client.send(&submit).unwrap();
+        match client.recv().unwrap().unwrap() {
+            Response::Rejected { reason } => assert!(reason.contains("spec.trace"), "{reason}"),
+            other => panic!("expected Rejected, got {other:?}"),
+        }
+    }
+    assert!(!path.exists(), "a refused job wrote its trace file");
 
     // The connection still works afterwards.
     let (_, _, cached) = submit(&mut client, link_job(2, 1), false);

@@ -236,10 +236,24 @@ impl JobSpec {
 
     /// Cheap structural validation, run by the service before queueing so
     /// malformed jobs are rejected at submit time, not at run time.
+    ///
+    /// A job names no trace sink of its own: `spec.trace` must be
+    /// [`TraceSinkSpec::Null`](fdb_core::trace::TraceSinkSpec::Null),
+    /// because a job comes from outside the process and a sink spec would
+    /// let it write any file the service can. Callers trace a job by
+    /// attaching a sink to its [`RunControl`] (the service's
+    /// `stream_trace`).
     pub fn validate(&self) -> Result<(), String> {
+        let untraced = |what: &str, spec: &MeasureSpec| {
+            if spec.trace.is_null() {
+                return Ok(());
+            }
+            Err(format!("{what}: spec.trace must be Null; stream traces instead"))
+        };
         match self {
             JobSpec::Link { link, spec } => {
                 link.validate().map_err(|e| format!("link job: {e}"))?;
+                untraced("link job", spec)?;
                 if spec.frames == 0 {
                     return Err("link job: spec.frames must be ≥ 1".into());
                 }
@@ -258,6 +272,7 @@ impl JobSpec {
                     sc.link
                         .validate()
                         .map_err(|e| format!("matrix scenario '{}': {e}", sc.label))?;
+                    untraced(&format!("matrix scenario '{}'", sc.label), &sc.spec)?;
                 }
                 for named in plans {
                     named
@@ -411,6 +426,7 @@ impl JobResult {
 mod tests {
     use super::*;
     use fdb_ambient::AmbientConfig;
+    use fdb_core::trace::{TraceSinkSpec, MAX_TRACE_CAPACITY};
 
     fn link_job(seed: u64) -> JobSpec {
         let mut link = LinkConfig::default_fd();
@@ -578,5 +594,26 @@ mod tests {
             },
         };
         assert!(city.validate().unwrap_err().contains("n_active"));
+        // A job names no trace sink, in a link job or a matrix scenario (a
+        // JSONL path would let it write any file the service can), and
+        // its trace capacity is bounded.
+        let JobSpec::Link { link, spec } = link_job(2) else {
+            unreachable!()
+        };
+        let traced = spec.clone().with_trace(TraceSinkSpec::jsonl("/tmp/any.jsonl"));
+        let scenarios = vec![MatrixScenario {
+            label: "s".into(),
+            link: link.clone(),
+            spec: traced.clone(),
+        }];
+        let mut big = link.clone();
+        big.phy.trace_capacity = Some(MAX_TRACE_CAPACITY + 1);
+        for (job, why) in [
+            (JobSpec::Link { link, spec: traced }, "spec.trace"),
+            (JobSpec::Matrix { scenarios, plans: Vec::new(), plan_seed: 0 }, "spec.trace"),
+            (JobSpec::Link { link: big, spec }, "trace_capacity"),
+        ] {
+            assert!(job.validate().unwrap_err().contains(why));
+        }
     }
 }

@@ -188,12 +188,7 @@ pub fn run_link(
     let mut built;
     let sink = match sink {
         None if !spec.trace.is_null() => {
-            built = spec
-                .trace
-                .build(cfg.phy.trace_ring_capacity())
-                .map_err(|e| PhyError::TraceSink {
-                    reason: e.to_string(),
-                })?;
+            built = spec.trace.build(cfg.phy.trace_ring_capacity())?;
             Some(built.as_mut() as &mut dyn TraceSink)
         }
         // Shortens the caller's sink borrow to the one built above.
@@ -354,6 +349,7 @@ pub fn random_payload<R: Rng + ?Sized>(rng: &mut R, n: usize) -> Vec<u8> {
 mod tests {
     use super::*;
     use fdb_ambient::AmbientConfig;
+    use fdb_core::trace::DEFAULT_TRACE_CAPACITY;
 
     fn clean_cfg() -> LinkConfig {
         let mut cfg = LinkConfig::default_fd();
@@ -445,8 +441,9 @@ mod tests {
         None
     }
 
-    /// The benchmark harness tells a trace build from a block-engine build
-    /// by exactly this call: a zero-frame run asking for a one-event ring.
+    /// The benchmark harness tells a build that traces from one that
+    /// does not by exactly this call: a zero-frame run asking for a
+    /// one-event ring.
     /// It must be refused without `fdb-core/trace` (or every benchmark run
     /// would abort), and accepted, recording events, with it.
     #[test]
@@ -461,13 +458,14 @@ mod tests {
         assert_eq!(accepted.map(|m| m.frames), fdb_core::trace::ENABLED.then_some(0));
         // A caller-owned sink follows the same contract: events recorded
         // with the feature, untouched without it.
-        let mut sink = fdb_core::trace::CollectSink::new();
+        let mut sink = fdb_core::trace::RingSink::new(DEFAULT_TRACE_CAPACITY);
         let one = MeasureSpec { frames: 1, ..MeasureSpec::quick(1) };
         let traced = run_link(&clean_cfg(), &one, LinkRun::new().with_sink(&mut sink));
         let traced = traced_or_refused(traced);
-        let recorded = sink.events().len() as u64;
+        let recorded = sink.trace().len() as u64;
+        assert_eq!(sink.trace().dropped(), 0);
         assert_eq!(traced.map(|m| m.trace_events), fdb_core::trace::ENABLED.then_some(recorded));
-        assert_eq!(sink.events().is_empty(), !fdb_core::trace::ENABLED);
+        assert_eq!(sink.trace().is_empty(), !fdb_core::trace::ENABLED);
     }
 
     #[test]
@@ -477,7 +475,9 @@ mod tests {
             payload_len: 16,
             seed: 5,
             feedback_probe: Some(false),
-            trace: TraceSinkSpec::Collect,
+            trace: TraceSinkSpec::Ring {
+                capacity: Some(DEFAULT_TRACE_CAPACITY),
+            },
             faults: None,
         };
         let Some(m) = traced_or_refused(run_link(&clean_cfg(), &spec, LinkRun::new())) else {

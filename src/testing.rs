@@ -20,23 +20,11 @@ use fdb_core::PhyError;
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
 
-/// Runs one deterministic frame over `cfg` and returns its outcome (whose
-/// [`FrameOutcome::ring_trace`] holds the frame's events when the engine
-/// traces). The payload is a fixed `i % 251` ramp so a given
+/// Runs one deterministic frame over `cfg` with its events streamed into
+/// a caller-owned ring of the config's trace capacity (what `probe replay`
+/// prints). The payload is a fixed `i % 251` ramp so a given
 /// `(cfg, seed, payload_len)` triple always replays identically — the same
 /// contract the `probe` CLI uses.
-pub fn run_seeded_frame(
-    cfg: LinkConfig,
-    seed: u64,
-    payload_len: usize,
-    opts: &RunOptions,
-) -> FrameOutcome {
-    run_seeded(cfg, seed, payload_len, opts, FrameRun::clean()).expect("frame runs")
-}
-
-/// Like [`run_seeded_frame`], with the frame's events streamed into a
-/// caller-owned ring of the config's trace capacity (what `probe replay`
-/// prints).
 pub fn seeded_frame_trace(
     cfg: LinkConfig,
     seed: u64,
@@ -44,22 +32,16 @@ pub fn seeded_frame_trace(
     opts: &RunOptions,
 ) -> Result<(FrameOutcome, FrameTrace), PhyError> {
     let mut ring = RingSink::new(cfg.phy.trace_ring_capacity());
-    let run = FrameRun::clean().with_sink(&mut ring);
-    let out = run_seeded(cfg, seed, payload_len, opts, run)?;
-    Ok((out, ring.into_trace()))
-}
-
-fn run_seeded(
-    cfg: LinkConfig,
-    seed: u64,
-    payload_len: usize,
-    opts: &RunOptions,
-    run: FrameRun<'_>,
-) -> Result<FrameOutcome, PhyError> {
     let mut rng = ChaCha8Rng::seed_from_u64(seed);
     let mut link = FdLink::new(cfg, &mut rng).expect("valid link config");
     let payload: Vec<u8> = (0..payload_len).map(|i| (i % 251) as u8).collect();
-    link.run_frame_with(&payload, opts, &mut rng, run)
+    let out = link.run_frame_with(
+        &payload,
+        opts,
+        &mut rng,
+        FrameRun::clean().with_sink(&mut ring),
+    )?;
+    Ok((out, ring.into_trace()))
 }
 
 /// The result of a traced request when the engine traces ([`ENABLED`]);

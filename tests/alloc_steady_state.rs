@@ -4,9 +4,9 @@
 //! paths perform **zero** heap
 //! allocations — for both frame engines (per-sample reference and block),
 //! with and without `fdb-core/trace`. The file compiles under both
-//! configs and CI runs it in each: the default build, where dispatch
-//! takes the block engine, and `--features fdb-core/trace`, where it
-//! takes the reference engine and recycles the outcome's trace ring.
+//! configs and CI runs it in each. Untraced dispatch takes the block
+//! engine in both; with `--features fdb-core/trace` a frame with a
+//! caller-owned ring takes the reference engine and its probes.
 //!
 //! The counter is thread-local, so parallel test threads can't perturb
 //! each other's tallies. Only allocation *requests* are counted
@@ -18,6 +18,7 @@ use std::cell::Cell;
 
 use fd_backscatter::channel::impairment::{FaultKind, FrameFaults, ScheduledFault};
 use fd_backscatter::mac::scenario::{run_session, RatePolicy, SessionConfig};
+use fd_backscatter::phy::trace::{RingSink, ENABLED};
 use fd_backscatter::prelude::*;
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
@@ -102,9 +103,12 @@ fn link_cfg_at(device_dist_m: f64) -> LinkConfig {
 
 #[derive(Clone, Copy)]
 enum Engine {
-    /// `run_frame_into` — the production dispatch (block engine on
-    /// non-trace builds, reference on trace builds).
+    /// `run_frame_into` — the production dispatch (the block engine for
+    /// an untraced frame).
     Dispatch,
+    /// `run_frame_into` with a caller-owned ring attached (the reference
+    /// engine with its probes; trace builds only).
+    Traced,
     /// The per-sample reference pipeline, forced.
     Reference,
     /// The segmented block pipeline, forced.
@@ -119,6 +123,7 @@ fn steady_state_allocs(engine: Engine, frames: u64, faulted: bool) -> u64 {
 }
 
 fn steady_state_allocs_on(cfg: LinkConfig, engine: Engine, frames: u64, faulted: bool) -> u64 {
+    let mut ring = RingSink::new(cfg.phy.trace_ring_capacity());
     let mut rng = ChaCha8Rng::seed_from_u64(9);
     let mut link = FdLink::new(cfg, &mut rng).unwrap();
     let payload: Vec<u8> = (0..32u8).collect();
@@ -149,6 +154,12 @@ fn steady_state_allocs_on(cfg: LinkConfig, engine: Engine, frames: u64, faulted:
             Engine::Dispatch => link
                 .run_frame_into(&payload, &opts, &mut rng, FrameRun::faulted(faults), &mut out)
                 .unwrap(),
+            Engine::Traced => {
+                let run = FrameRun::faulted(faults).with_sink(&mut ring);
+                link.run_frame_into(&payload, &opts, &mut rng, run, &mut out)
+                    .unwrap();
+                assert!(!ring.trace().is_empty());
+            }
             Engine::Reference => link
                 .run_frame_reference_into(&payload, &opts, &mut rng, faults, &mut out)
                 .unwrap(),
@@ -180,12 +191,30 @@ fn clean_link_block_engine_is_allocation_free_after_warmup() {
 
 #[test]
 fn clean_link_dispatch_is_allocation_free_after_warmup() {
-    // Covers the trace-on path too: on `fdb-core/trace` builds `run_frame_into`
-    // routes through the reference engine and recycles the outcome's
-    // trace ring in place.
     let n = steady_state_allocs(Engine::Dispatch, STEADY_FRAMES, false);
     record_alloc("clean_link_dispatch", n, STEADY_FRAMES - 1);
     assert_eq!(n, 0, "run_frame_into allocated {n} times in steady state");
+}
+
+#[test]
+fn traced_faulted_link_is_allocation_free_after_warmup() {
+    // The reference engine's probes (fault edges included) recording into
+    // a full, evicting ring. Builds that cannot trace refuse the sink.
+    if !ENABLED {
+        let mut rng = ChaCha8Rng::seed_from_u64(9);
+        let mut link = FdLink::new(link_cfg(), &mut rng).unwrap();
+        let mut ring = RingSink::new(16);
+        let run = FrameRun::clean().with_sink(&mut ring);
+        let res = link.run_frame_with(&[1, 2], &RunOptions::fd_monitor(), &mut rng, run);
+        assert!(matches!(
+            res,
+            Err(fd_backscatter::phy::PhyError::TraceSink { .. })
+        ));
+        assert!(ring.trace().is_empty());
+        return;
+    }
+    let n = steady_state_allocs(Engine::Traced, STEADY_FRAMES, true);
+    assert_eq!(n, 0, "traced frames allocated {n} times in steady state");
 }
 
 #[test]

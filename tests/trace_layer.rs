@@ -6,10 +6,11 @@
 //! `PhyError::TraceSink`.
 
 use fd_backscatter::phy::trace::{parse_trace_line, FrameTrace, TraceLine};
+use fd_backscatter::phy::hash::ContentHash;
 use fd_backscatter::prelude::*;
-use fd_backscatter::testing::{
-    run_seeded_frame, seeded_frame_trace, trace_jsonl, traced_or_refused,
-};
+use fd_backscatter::sim::FaultPlan;
+use fd_backscatter::testing::{seeded_frame_trace, trace_jsonl, traced_or_refused};
+use rand::SeedableRng;
 
 fn quiet_cfg() -> LinkConfig {
     let mut cfg = LinkConfig::default_fd();
@@ -25,24 +26,31 @@ fn traced_frame(seed: u64, len: usize, opts: &RunOptions) -> Option<(FrameOutcom
 
 #[test]
 fn fd_frame_trace_covers_every_stage() {
-    // With no sink attached, a tracing engine fills the outcome's own ring
-    // with the events a caller-owned ring receives; any other engine has
-    // no outcome ring.
-    let out = run_seeded_frame(quiet_cfg(), 11, 64, &RunOptions::fd_monitor());
-    assert!(out.fully_delivered(), "clean FD frame must deliver");
-    let Some((_, ring)) = traced_frame(11, 64, &RunOptions::fd_monitor()) else {
-        assert!(out.ring_trace().is_none(), "untraced engine has an outcome ring");
-        return;
+    // A caller-owned ring receives events from every stage of a clean
+    // full-duplex frame, and the traced frame (reference engine) has the
+    // outcome of the same frame run untraced (block engine).
+    let mut rng = rand_chacha::ChaCha8Rng::seed_from_u64(11);
+    let mut link = FdLink::new(quiet_cfg(), &mut rng).unwrap();
+    let payload: Vec<u8> = (0..64).map(|i| (i % 251) as u8).collect();
+    let plain = link
+        .run_frame(&payload, &RunOptions::fd_monitor(), &mut rng)
+        .unwrap();
+    assert!(plain.fully_delivered(), "clean FD frame must deliver");
+    let Some((out, ring)) = traced_frame(11, 64, &RunOptions::fd_monitor()) else {
+        return; // refused, as `traced_or_refused` checked
     };
-    let own = out.ring_trace().expect("no outcome ring");
     for stage in ["tx", "channel", "sic", "rx", "feedback"] {
         assert!(
-            own.stage_events(stage).next().is_some(),
+            ring.stage_events(stage).next().is_some(),
             "no `{stage}` events in a full-duplex frame trace"
         );
     }
-    let caller_ring_agrees = own.events().eq(ring.events());
-    assert!(caller_ring_agrees, "outcome and caller-owned rings differ");
+    assert_eq!(ring.dropped(), 0);
+    assert_eq!(
+        format!("{out:?}"),
+        format!("{plain:?}"),
+        "tracing changed the outcome"
+    );
 }
 
 #[test]
@@ -130,4 +138,50 @@ fn observer_captures_first_failing_frame_trace() {
         })
         .count();
     assert!(events > 0, "the failing frame's trace is empty");
+}
+
+/// The JSONL trace stream of one seeded frame: the bytes a `ChannelSink`
+/// (byte-identical to `JsonlFileSink`) emits for it.
+fn trace_stream(cfg: &LinkConfig, spec: &MeasureSpec) -> Option<String> {
+    use fd_backscatter::phy::trace::ChannelSink;
+    let (tx, rx) = std::sync::mpsc::channel();
+    let mut sink = ChannelSink::new(tx).with_frame_cap(cfg.phy.trace_ring_capacity());
+    let res = run_link(cfg, spec, LinkRun::new().with_sink(&mut sink));
+    let metrics = traced_or_refused(res)?;
+    drop(sink);
+    assert_eq!(metrics.frames, 1);
+    Some(rx.try_iter().map(|chunk| chunk.text).collect())
+}
+
+#[test]
+fn seeded_trace_streams_match_pinned_hashes() {
+    // A full-duplex frame with two fault windows opening and closing
+    // inside it, and a half-duplex frame. The pins fix every event, field
+    // and float of both streams.
+    let plan: FaultPlan = serde_json::from_str(
+        r#"{"seed":3,"faults":[
+            {"frame":0,"start_sample":0,"duration_samples":640,
+             "kind":{"Interferer":{"power_dbm":-68.0,"period_samples":20}}},
+            {"frame":0,"start_sample":2000,"duration_samples":1500,
+             "kind":{"NoiseBurst":{"power_dbm":-80.0,"target":"B"}}}]}"#,
+    )
+    .expect("plan parses");
+    let one = |seed, feedback_probe| MeasureSpec {
+        frames: 1,
+        payload_len: 32,
+        seed,
+        feedback_probe,
+        ..MeasureSpec::default()
+    };
+    let cfg = LinkConfig::default_fd();
+    let fd = trace_stream(&cfg, &one(7, Some(false)).with_faults(plan));
+    let hd = trace_stream(&cfg, &one(8, None));
+    let (Some(fd), Some(hd)) = (fd, hd) else {
+        return; // both requests were refused, as `traced_or_refused` checked
+    };
+    assert!(fd.contains("{\"Fault\":") && fd.contains("{\"FbBit\":"), "{fd}");
+    assert!(hd.contains("{\"RxBlock\":") && !hd.contains("{\"FbHalf\":"), "{hd}");
+    let hash = |text: &str| ContentHash::of_bytes(text.as_bytes()).to_hex();
+    assert_eq!(hash(&fd), "0109a4f083910959ff132999ae292bd6", "full-duplex stream moved");
+    assert_eq!(hash(&hd), "649437b85282af64c8f40e4e6069ad60", "half-duplex stream moved");
 }
