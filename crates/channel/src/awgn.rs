@@ -5,7 +5,7 @@
 //! envelope-detection receivers in this stack are wideband, so the relevant
 //! noise power is `kTB·F` over the detector bandwidth.
 
-use fdb_dsp::math::randn;
+use fdb_dsp::math::{gauss, randn_uniforms};
 use fdb_dsp::sample::{dbm_to_watts, watts_to_dbm};
 use fdb_dsp::Iq;
 use rand::Rng;
@@ -70,10 +70,30 @@ impl Awgn {
     /// `randcn(rng, power_w)`, with the scale computed once per source.
     #[inline]
     pub fn sample<R: Rng + ?Sized>(&self, rng: &mut R) -> Iq {
+        self.from_uniforms(self.sample_uniforms(rng))
+    }
+
+    /// All of [`sample`](Awgn::sample)'s RNG use: the uniforms of its
+    /// two Gaussians (re, then im), or zeros without a draw when the
+    /// source is off.
+    #[inline]
+    pub fn sample_uniforms<R: Rng + ?Sized>(&self, rng: &mut R) -> [[f64; 2]; 2] {
+        if self.power_w == 0.0 {
+            [[0.0; 2]; 2]
+        } else {
+            let re = randn_uniforms(rng);
+            [re, randn_uniforms(rng)]
+        }
+    }
+
+    /// The noise sample [`sample`](Awgn::sample) makes of the uniforms
+    /// [`sample_uniforms`](Awgn::sample_uniforms) drew.
+    #[inline]
+    pub fn from_uniforms(&self, [re, im]: [[f64; 2]; 2]) -> Iq {
         if self.power_w == 0.0 {
             Iq::ZERO
         } else {
-            Iq::new(self.sigma * randn(rng), self.sigma * randn(rng))
+            Iq::new(self.sigma * gauss(re), self.sigma * gauss(im))
         }
     }
 
@@ -87,6 +107,7 @@ impl Awgn {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use fdb_dsp::math::randn;
     use rand::SeedableRng;
     use rand_chacha::ChaCha8Rng;
 

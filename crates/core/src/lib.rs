@@ -35,6 +35,7 @@
 //! | [`feedback`] | the feedback channel: encoder at the data receiver, integrate-and-dump decoder at the data transmitter |
 //! | [`sic`] | known-state self-interference cancellation |
 //! | [`link`] | the sample-synchronous two-device full-duplex link |
+//! | [`draws`] | per-sample random draws, inline or drawn ahead on a helper thread |
 //! | [`scratch`] | per-link arena of reusable frame-engine working buffers |
 //! | [`network`] | K coexisting links with first-order mutual scattering |
 //! | [`trace`] | frame-level per-stage diagnostics through caller-owned sinks |
@@ -56,6 +57,7 @@
 #![deny(unsafe_code)]
 
 pub mod config;
+pub mod draws;
 pub mod error;
 pub mod feedback;
 pub mod frame;

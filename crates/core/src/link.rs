@@ -33,6 +33,7 @@
 //! `run_frame_block`'s docs for the edges that split blocks.
 
 use crate::config::PhyConfig;
+use crate::draws::{DrawPlan, DrawSource};
 use crate::error::PhyError;
 use crate::frame::HEADER_BITS;
 use crate::rx::{DataReceiver, RxResult, RxState};
@@ -181,6 +182,17 @@ impl LinkConfig {
             .validate()
             .map_err(|reason| PhyError::InvalidConfig { field: "ambient", reason })?;
         Ok(())
+    }
+
+    /// Whether the link's random draws depend on the sample index within
+    /// a frame: block fading that draws from the run's RNG every
+    /// `fading_advance_bits` bits. Otherwise every sample draws the same
+    /// things, and a frame's draws continue the previous frame's stream
+    /// (what draw-ahead relies on; see [`crate::draws`]).
+    pub fn draws_depend_on_sample_index(&self) -> bool {
+        let g = &self.geometry;
+        self.fading_advance_bits > 0
+            && !(g.fading_source == Fading::Static && g.fading_device == Fading::Static)
     }
 
     /// The same link rebuilt at a different chip rate: a copy of this
@@ -432,13 +444,13 @@ const SEG_MAX: usize = 4096;
 /// The two-device full-duplex link simulator.
 pub struct FdLink {
     cfg: LinkConfig,
-    source: Ambient,
+    /// The ambient source and the noise levels every sample draws from.
+    plan: DrawPlan,
     hop_sa: Hop,
     hop_sb: Hop,
     hop_ab: Hop,
     tag_a: TagHardware,
     tag_b: TagHardware,
-    noise: Awgn,
     source_amp: f64,
     scratch: LinkScratch,
 }
@@ -454,19 +466,22 @@ impl FdLink {
         let dt = cfg.phy.sample_period_s();
         let tag_a = TagHardware::new(cfg.tag_a, dt);
         let tag_b = TagHardware::new(cfg.tag_b, dt);
-        let noise = Awgn::from_dbm(cfg.field_noise_dbm);
-        let source = Ambient::from_config(cfg.ambient, cfg.ambient_seed);
+        let plan = DrawPlan::new(
+            Ambient::from_config(cfg.ambient, cfg.ambient_seed),
+            Awgn::from_dbm(cfg.field_noise_dbm),
+            &tag_a,
+            &tag_b,
+        );
         let source_amp = dbm_to_watts(g.source_power_dbm).sqrt();
         let scratch = LinkScratch::new(&cfg)?;
         Ok(FdLink {
             cfg,
-            source,
+            plan,
             hop_sa,
             hop_sb,
             hop_ab,
             tag_a,
             tag_b,
-            noise,
             source_amp,
             scratch,
         })
@@ -497,8 +512,12 @@ impl FdLink {
         let dt = cfg.phy.sample_period_s();
         self.tag_a = TagHardware::new(cfg.tag_a, dt);
         self.tag_b = TagHardware::new(cfg.tag_b, dt);
-        self.noise = Awgn::from_dbm(cfg.field_noise_dbm);
-        self.source = Ambient::from_config(cfg.ambient, cfg.ambient_seed);
+        self.plan = DrawPlan::new(
+            Ambient::from_config(cfg.ambient, cfg.ambient_seed),
+            Awgn::from_dbm(cfg.field_noise_dbm),
+            &self.tag_a,
+            &self.tag_b,
+        );
         self.source_amp = dbm_to_watts(g.source_power_dbm).sqrt();
         self.cfg.copy_from(cfg);
         Ok(())
@@ -507,6 +526,13 @@ impl FdLink {
     /// Read access to the configuration.
     pub fn config(&self) -> &LinkConfig {
         &self.cfg
+    }
+
+    /// The ambient source and noise levels the link's samples draw from,
+    /// in their current state: clone it with the run's RNG to draw the
+    /// next frames' draws elsewhere (see [`crate::draws`]).
+    pub fn draw_plan(&self) -> &DrawPlan {
+        &self.plan
     }
 
     /// Device A's hardware (energy inspection).
@@ -638,13 +664,12 @@ impl FdLink {
         // per-frame component construction.
         let FdLink {
             cfg,
-            source,
+            plan,
             hop_sa,
             hop_sb,
             hop_ab,
             tag_a,
             tag_b,
-            noise,
             source_amp,
             scratch,
         } = self;
@@ -782,7 +807,7 @@ impl FdLink {
             tag_b.set_antenna(b_state);
 
             // --- field assembly ---------------------------------------
-            let x = source_amp * fx.source_scale * source.next_power(rng).sqrt();
+            let x = source_amp * fx.source_scale * plan.source.next_power(rng).sqrt();
             let h_sa = hop_sa.coeff();
             let h_sb = hop_sb.coeff();
             let h_ab = hop_ab.coeff();
@@ -794,8 +819,8 @@ impl FdLink {
             // fault-injected interferer / burst-noise field.
             let e_a = e_a0 + h_ab * g_b * (e_b0 + h_ab * g_a * e_a0) + fx.field_a;
             let e_b = e_b0 + h_ab * g_a * (e_a0 + h_ab * g_b * e_b0) + fx.field_b;
-            let e_a = noise.corrupt(e_a, rng);
-            let e_b = noise.corrupt(e_b, rng);
+            let e_a = plan.noise.corrupt(e_a, rng);
+            let e_b = plan.noise.corrupt(e_b, rng);
 
             // --- devices ----------------------------------------------
             // A dropout fault zeroes the ADC reading; the detector RC
@@ -1066,50 +1091,56 @@ impl FdLink {
     ///   segments too short for two sync events or a header verdict, so
     ///   no exit can fall inside one.
     ///
-    /// Within a segment the physics/control pass stays per-sample (it owns
-    /// the shared RNG draw order and A's abort reflex), while B's SIC →
+    /// Within a segment the physics/control pass stays per-sample (it takes
+    /// each sample's draws and runs A's abort reflex), while B's SIC →
     /// resampler → receiver chain consumes the staged block through the
     /// slice entry points: [`DataReceiver::push_slice`] once the header is
     /// accepted and a mid-block loss of lock is impossible, and
     /// `DataReceiver::push_acquiring` (lane-batched preamble scoring,
     /// stopping at the lock sample) while B hunts.
     ///
+    /// `draws` supplies each sample's random draws: the run's RNG itself
+    /// (inline), or a [`Tape`](crate::draws::Tape) that a helper thread
+    /// fills ahead of the engine from clones of that RNG and the link's
+    /// [`draw_plan`](FdLink::draw_plan) (see [`crate::draws`]). A tape may
+    /// stand in for the RNG only while
+    /// [`LinkConfig::draws_depend_on_sample_index`] is `false`.
+    ///
     /// This is the engine every untraced frame runs on; it is public so
     /// benches and equivalence tests can pit it against the reference.
     /// It records no trace events: per-sample probes are exactly what
     /// this pipeline amortises away.
-    pub fn run_frame_block<R: Rng + ?Sized>(
+    pub fn run_frame_block<D: DrawSource + ?Sized>(
         &mut self,
         payload: &[u8],
         opts: &RunOptions,
-        rng: &mut R,
+        draws: &mut D,
         faults: Option<&mut FrameFaults>,
     ) -> Result<FrameOutcome, PhyError> {
         let mut out = FrameOutcome::default();
-        self.run_frame_block_into(payload, opts, rng, faults, &mut out)?;
+        self.run_frame_block_into(payload, opts, draws, faults, &mut out)?;
         Ok(out)
     }
 
     /// [`run_frame_block`](FdLink::run_frame_block) writing into a
     /// caller-owned [`FrameOutcome`] (see
     /// [`run_frame_into`](FdLink::run_frame_into) for the reuse contract).
-    pub fn run_frame_block_into<R: Rng + ?Sized>(
+    pub fn run_frame_block_into<D: DrawSource + ?Sized>(
         &mut self,
         payload: &[u8],
         opts: &RunOptions,
-        rng: &mut R,
+        draws: &mut D,
         mut faults: Option<&mut FrameFaults>,
         out: &mut FrameOutcome,
     ) -> Result<(), PhyError> {
         let FdLink {
             cfg,
-            source,
+            plan,
             hop_sa,
             hop_sb,
             hop_ab,
             tag_a,
             tag_b,
-            noise,
             source_amp,
             scratch,
         } = self;
@@ -1208,9 +1239,7 @@ impl FdLink {
                 // staged path defers (re-arm, fault draws, loop exits) is
                 // decided here at exact scalar granularity.
                 if fade_every > 0 && t.is_multiple_of(fade_every) && t > 0 {
-                    hop_sa.advance_block(rng);
-                    hop_sb.advance_block(rng);
-                    hop_ab.advance_block(rng);
+                    draws.advance_fading([&mut *hop_sa, &mut *hop_sb, &mut *hop_ab]);
                 }
                 let fx = match faults.as_deref_mut() {
                     Some(f) => {
@@ -1241,7 +1270,8 @@ impl FdLink {
                 };
                 tag_b.set_antenna(b_state);
 
-                let x = source_amp * fx.source_scale * source.next_power(rng).sqrt();
+                let d = draws.next_sample(plan);
+                let x = source_amp * fx.source_scale * d.power.sqrt();
                 let h_sa = hop_sa.coeff();
                 let h_sb = hop_sb.coeff();
                 let h_ab = hop_ab.coeff();
@@ -1251,11 +1281,11 @@ impl FdLink {
                 let g_b = tag_b.reflected(Iq::ONE);
                 let e_a = e_a0 + h_ab * g_b * (e_b0 + h_ab * g_a * e_a0) + fx.field_a;
                 let e_b = e_b0 + h_ab * g_a * (e_a0 + h_ab * g_b * e_b0) + fx.field_b;
-                let e_a = noise.corrupt(e_a, rng);
-                let e_b = noise.corrupt(e_b, rng);
+                let e_a = e_a + d.noise_a;
+                let e_b = e_b + d.noise_b;
 
-                let env_a = tag_a.step_receive(e_a, dt, rng);
-                let env_b = tag_b.step_receive(e_b, dt, rng);
+                let env_a = tag_a.step_receive_with(e_a, dt, d.detector_a);
+                let env_b = tag_b.step_receive_with(e_b, dt, d.detector_b);
                 let env_a = if fx.drop_a { 0.0 } else { env_a };
                 let env_b = if fx.drop_b { 0.0 } else { env_b };
                 tag_a.charge_awake(dt, t >= a_epoch);
@@ -1375,9 +1405,7 @@ impl FdLink {
             debug_assert!(len >= 1);
 
             if fade_every > 0 && t.is_multiple_of(fade_every) && t > 0 {
-                hop_sa.advance_block(rng);
-                hop_sb.advance_block(rng);
-                hop_ab.advance_block(rng);
+                draws.advance_fading([&mut *hop_sa, &mut *hop_sb, &mut *hop_ab]);
             }
             // One bookkeeping poll per quiet segment: boundary caps above
             // guarantee every window edge lands exactly on a segment start,
@@ -1396,10 +1424,10 @@ impl FdLink {
             debug_assert!(fx.is_neutral(), "active fault in a staged segment");
 
             // ---- pass 1: physics + control + A-side, per sample --------
-            // Owns the shared RNG draw order (source, AWGN, detectors) and
-            // A's feedback/abort reflex — an abort lands on the very next
-            // sample's tx state, exactly as in the reference. B's samples
-            // are staged for pass 2.
+            // Takes each sample's draws (source, AWGN, detectors) in order
+            // and runs A's feedback/abort reflex — an abort lands on the
+            // very next sample's tx state, exactly as in the reference.
+            // B's samples are staged for pass 2.
             env_b_stage.clear();
             b_state_stage.clear();
             let h_sa = hop_sa.coeff();
@@ -1426,18 +1454,19 @@ impl FdLink {
                 };
                 tag_b.set_antenna(b_state);
 
-                let x = source_amp * fx.source_scale * source.next_power(rng).sqrt();
+                let d = draws.next_sample(plan);
+                let x = source_amp * fx.source_scale * d.power.sqrt();
                 let e_a0 = h_sa * x;
                 let e_b0 = h_sb * x;
                 let g_a = tag_a.reflected(Iq::ONE);
                 let g_b = tag_b.reflected(Iq::ONE);
                 let e_a = e_a0 + h_ab * g_b * (e_b0 + h_ab * g_a * e_a0) + fx.field_a;
                 let e_b = e_b0 + h_ab * g_a * (e_a0 + h_ab * g_b * e_b0) + fx.field_b;
-                let e_a = noise.corrupt(e_a, rng);
-                let e_b = noise.corrupt(e_b, rng);
+                let e_a = e_a + d.noise_a;
+                let e_b = e_b + d.noise_b;
 
-                let env_a = tag_a.step_receive(e_a, dt, rng);
-                let env_b = tag_b.step_receive(e_b, dt, rng);
+                let env_a = tag_a.step_receive_with(e_a, dt, d.detector_a);
+                let env_b = tag_b.step_receive_with(e_b, dt, d.detector_b);
                 let env_a = if fx.drop_a { 0.0 } else { env_a };
                 let env_b = if fx.drop_b { 0.0 } else { env_b };
                 tag_a.charge_awake(dt, ti >= a_epoch);
@@ -1635,6 +1664,8 @@ fn finish_into(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::draws::{with_draw_ahead, Tape};
+    use fdb_channel::impairment::{FaultKind, FaultTarget, ScheduledFault};
     use rand::SeedableRng;
     use rand_chacha::ChaCha8Rng;
 
@@ -1790,10 +1821,81 @@ mod tests {
         );
     }
 
-    /// Runs `frames` back-to-back frames through two identically-seeded
-    /// links — one on the reference engine, one on the block pipeline —
-    /// and requires byte-identical outcomes every frame (back-to-back so
-    /// persistent device/energy/fading state must stay aligned too).
+    /// Identically seeded links on the three ways a frame can run: the
+    /// per-sample reference, the block engine drawing inline, and the
+    /// block engine reading a draw-ahead tape (omitted when the config's
+    /// draws depend on the sample index, as `run_link` omits it).
+    struct Engines<'a, 'r> {
+        link_r: FdLink,
+        rng_r: ChaCha8Rng,
+        link_b: FdLink,
+        rng_b: ChaCha8Rng,
+        link_t: FdLink,
+        tape: Option<&'a mut Tape<'r>>,
+    }
+
+    /// Runs `body` on [`Engines`] for `cfg`, all seeded with `seed`. The
+    /// tape's helper is always spawned, whatever the core count.
+    fn with_engines<T>(cfg: &LinkConfig, seed: u64, body: impl FnOnce(&mut Engines<'_, '_>) -> T) -> T {
+        let mut rng_r = ChaCha8Rng::seed_from_u64(seed);
+        let link_r = FdLink::new(cfg.clone(), &mut rng_r).unwrap();
+        let mut rng_b = ChaCha8Rng::seed_from_u64(seed);
+        let link_b = FdLink::new(cfg.clone(), &mut rng_b).unwrap();
+        let mut rng_t = ChaCha8Rng::seed_from_u64(seed);
+        let link_t = FdLink::new(cfg.clone(), &mut rng_t).unwrap();
+        let plan = link_t.draw_plan().clone();
+        let engines = |tape: Option<&mut Tape<'_>>| {
+            body(&mut Engines {
+                link_r,
+                rng_r,
+                link_b,
+                rng_b,
+                link_t,
+                tape,
+            })
+        };
+        if cfg.draws_depend_on_sample_index() {
+            engines(None)
+        } else {
+            with_draw_ahead(rng_t, plan, |tape| {
+                engines(Some(tape.expect("draw-ahead helper spawned")))
+            })
+        }
+    }
+
+    impl Engines<'_, '_> {
+        /// One frame on every engine, each with its own copy of the fault
+        /// schedule (`(schedule, fault seed)`); requires byte-identical
+        /// outcomes and returns the reference's.
+        fn frame(
+            &mut self,
+            payload: &[u8],
+            opts: &RunOptions,
+            faults: Option<(&[ScheduledFault], u64)>,
+            what: &str,
+        ) -> FrameOutcome {
+            let faults_for = || faults.map(|(s, seed)| FrameFaults::new(s.to_vec(), seed));
+            let (mut f_r, mut f_b, mut f_t) = (faults_for(), faults_for(), faults_for());
+            let r = self
+                .link_r
+                .run_frame_reference(payload, opts, &mut self.rng_r, f_r.as_mut())
+                .unwrap();
+            let b = self
+                .link_b
+                .run_frame_block(payload, opts, &mut self.rng_b, f_b.as_mut())
+                .unwrap();
+            assert_outcomes_identical(&r, &b, &format!("{what} (block)"));
+            if let Some(tape) = self.tape.as_deref_mut() {
+                let t = self.link_t.run_frame_block(payload, opts, tape, f_t.as_mut()).unwrap();
+                assert_outcomes_identical(&r, &t, &format!("{what} (tape)"));
+            }
+            r
+        }
+    }
+
+    /// Runs `frames` back-to-back frames through [`Engines`] and requires
+    /// byte-identical outcomes every frame (back-to-back so persistent
+    /// device/energy state and the draw stream must stay aligned too).
     fn assert_block_matches_reference(
         cfg: LinkConfig,
         payload: &[u8],
@@ -1802,17 +1904,11 @@ mod tests {
         frames: usize,
         what: &str,
     ) {
-        let mut rng_r = ChaCha8Rng::seed_from_u64(seed);
-        let mut rng_b = ChaCha8Rng::seed_from_u64(seed);
-        let mut link_r = FdLink::new(cfg.clone(), &mut rng_r).unwrap();
-        let mut link_b = FdLink::new(cfg, &mut rng_b).unwrap();
-        for k in 0..frames {
-            let r = link_r
-                .run_frame_reference(payload, opts, &mut rng_r, None)
-                .unwrap();
-            let b = link_b.run_frame_block(payload, opts, &mut rng_b, None).unwrap();
-            assert_outcomes_identical(&r, &b, &format!("{what} frame {k}"));
-        }
+        with_engines(&cfg, seed, |e| {
+            for k in 0..frames {
+                e.frame(payload, opts, None, &format!("{what} frame {k}"));
+            }
+        });
     }
 
     #[test]
@@ -1850,22 +1946,50 @@ mod tests {
     }
 
     #[test]
+    fn block_matches_reference_ofdm_bursty_and_detector_noise() {
+        // Bursty OFDM switches the source off between bursts (zero power
+        // draws), and noisy detectors add two draws per sample: the tape
+        // must carry both through frame boundaries.
+        let payload: Vec<u8> = (0..40u8).map(|i| i.wrapping_mul(13)).collect();
+        let mut ofdm = LinkConfig::default_fd();
+        ofdm.ambient = AmbientConfig::OfdmBursty {
+            duty_cycle: 0.6,
+            burst_len: 400,
+        };
+        assert_block_matches_reference(ofdm, &payload, &RunOptions::fd_monitor(), 206, 3, "ofdm");
+        let mut noisy = quiet_cfg();
+        noisy.tag_a.detector_noise_w = 1e-13;
+        noisy.tag_b.detector_noise_w = 3e-13;
+        let mut delivered = 0;
+        with_engines(&noisy, 207, |e| {
+            for k in 0..3 {
+                let r = e.frame(&payload, &RunOptions::fd_early_abort(), None, &format!("noisy {k}"));
+                delivered += usize::from(r.fully_delivered());
+            }
+        });
+        assert!(delivered > 0, "detector noise drowned every frame");
+        let mut one_noisy = quiet_cfg();
+        one_noisy.tag_b.detector_noise_w = 1e-13;
+        assert_block_matches_reference(one_noisy, &payload, &RunOptions::fd_monitor(), 208, 2, "B noisy");
+    }
+
+    #[test]
     fn block_matches_reference_with_fading_and_stream() {
         let mut cfg = quiet_cfg();
         cfg.fading_advance_bits = 16;
         cfg.geometry.fading_source = Fading::rayleigh(50.0);
+        assert!(cfg.draws_depend_on_sample_index());
         let payload = vec![0x3Cu8; 120];
-        assert_block_matches_reference(
-            cfg,
-            &payload,
-            &RunOptions {
-                feedback: FeedbackPolicy::Stream(vec![true, false, true, true, false]),
-                abort_on_nack: false,
-            },
-            203,
-            2,
-            "fading stream",
-        );
+        let opts = RunOptions {
+            feedback: FeedbackPolicy::Stream(vec![true, false, true, true, false]),
+            abort_on_nack: false,
+        };
+        assert_block_matches_reference(cfg.clone(), &payload, &opts, 203, 2, "fading stream");
+        // Block advances on static hops draw nothing, so such a link may
+        // draw ahead (and the tape panics if a hop ever draws).
+        cfg.geometry.fading_source = Fading::Static;
+        assert!(!cfg.draws_depend_on_sample_index());
+        assert_block_matches_reference(cfg, &payload, &opts, 203, 2, "static advance");
     }
 
     #[test]
@@ -1883,20 +2007,14 @@ mod tests {
                 .enumerate()
             {
                 let seed = 300 + 2 * k as u64 + j as u64;
-                let mut rng_r = ChaCha8Rng::seed_from_u64(seed);
-                let mut rng_b = ChaCha8Rng::seed_from_u64(seed);
-                let mut link_r = FdLink::new(cfg.clone(), &mut rng_r).unwrap();
-                let mut link_b = FdLink::new(cfg.clone(), &mut rng_b).unwrap();
-                for f in 0..12 {
-                    let r = link_r
-                        .run_frame_reference(&payload, opts, &mut rng_r, None)
-                        .unwrap();
-                    let b = link_b.run_frame_block(&payload, opts, &mut rng_b, None).unwrap();
-                    assert_outcomes_identical(&r, &b, &format!("{dist} m opts {j} frame {f}"));
-                    locked += usize::from(r.b_locked);
-                    unlocked += usize::from(!r.b_locked);
-                    rejections += r.sync_rejections;
-                }
+                with_engines(&cfg, seed, |e| {
+                    for f in 0..12 {
+                        let r = e.frame(&payload, opts, None, &format!("{dist} m opts {j} frame {f}"));
+                        locked += usize::from(r.b_locked);
+                        unlocked += usize::from(!r.b_locked);
+                        rejections += r.sync_rejections;
+                    }
+                });
             }
         }
         assert!(locked > 0, "no frame locked: the grid never leaves acquisition");
@@ -1925,30 +2043,27 @@ mod tests {
                 .enumerate()
             {
                 for seed in 1000..1008u64 {
-                    let mut rng_r = ChaCha8Rng::seed_from_u64(seed);
-                    let mut rng_b = ChaCha8Rng::seed_from_u64(seed);
-                    let mut link_r = FdLink::new(cfg.clone(), &mut rng_r).unwrap();
-                    let mut link_b = FdLink::new(cfg.clone(), &mut rng_b).unwrap();
-                    for f in 0..3 {
-                        let r = link_r
-                            .run_frame_reference(&payload, opts, &mut rng_r, None)
-                            .unwrap();
-                        let b = link_b.run_frame_block(&payload, opts, &mut rng_b, None).unwrap();
-                        let what = format!("max_rearms {max_rearms} opts {j} seed {seed} frame {f}");
-                        assert_outcomes_identical(&r, &b, &what);
-                        let timeline = link_r.scratch.rx.sync_timeline();
-                        assert_eq!(timeline, link_b.scratch.rx.sync_timeline(), "{what}: timeline");
-                        // B's clock has no offset here, so the receiver's
-                        // sample count is the frame's sample index + 1.
-                        for &(at, state) in timeline.iter().filter(|e| e.0 > r.airtime_samples) {
-                            after_total[match state {
-                                RxState::Receiving => 0,
-                                RxState::Acquiring => 1,
-                                _ => 2,
-                            }] += 1;
-                            assert!(at <= r.samples_run, "{what}: event past the run");
+                    with_engines(&cfg, seed, |e| {
+                        for f in 0..3 {
+                            let what = format!("max_rearms {max_rearms} opts {j} seed {seed} frame {f}");
+                            let r = e.frame(&payload, opts, None, &what);
+                            let timeline = e.link_r.scratch.rx.sync_timeline();
+                            assert_eq!(timeline, e.link_b.scratch.rx.sync_timeline(), "{what}: timeline");
+                            if e.tape.is_some() {
+                                assert_eq!(timeline, e.link_t.scratch.rx.sync_timeline(), "{what}: tape");
+                            }
+                            // B's clock has no offset here, so the receiver's
+                            // sample count is the frame's sample index + 1.
+                            for &(at, state) in timeline.iter().filter(|e| e.0 > r.airtime_samples) {
+                                after_total[match state {
+                                    RxState::Receiving => 0,
+                                    RxState::Acquiring => 1,
+                                    _ => 2,
+                                }] += 1;
+                                assert!(at <= r.samples_run, "{what}: event past the run");
+                            }
                         }
-                    }
+                    });
                 }
             }
         }
@@ -1997,10 +2112,8 @@ mod tests {
     fn block_matches_reference_early_abort() {
         // Ruin the channel mid-frame with a scripted burst so B NACKs and
         // A's abort reflex fires — the hardest control-feedback path.
-        use fdb_channel::impairment::{FaultKind, FaultTarget, ScheduledFault};
-        let cfg = quiet_cfg();
         let payload: Vec<u8> = (0..128u8).collect();
-        let schedule = vec![ScheduledFault {
+        let schedule = [ScheduledFault {
             start: 9_000,
             duration: 2_500,
             kind: FaultKind::NoiseBurst {
@@ -2008,28 +2121,20 @@ mod tests {
                 target: FaultTarget::B,
             },
         }];
-        let mut rng_r = ChaCha8Rng::seed_from_u64(204);
-        let mut rng_b = ChaCha8Rng::seed_from_u64(204);
-        let mut link_r = FdLink::new(cfg.clone(), &mut rng_r).unwrap();
-        let mut link_b = FdLink::new(cfg, &mut rng_b).unwrap();
         let opts = RunOptions::fd_early_abort();
-        let mut faults_r = FrameFaults::new(schedule.clone(), 7);
-        let mut faults_b = FrameFaults::new(schedule, 7);
-        let r = link_r
-            .run_frame_reference(&payload, &opts, &mut rng_r, Some(&mut faults_r))
-            .unwrap();
-        let b = link_b
-            .run_frame_block(&payload, &opts, &mut rng_b, Some(&mut faults_b))
-            .unwrap();
-        assert_outcomes_identical(&r, &b, "early abort");
-        assert!(r.aborted_at_sample.is_some(), "burst failed to provoke abort");
+        with_engines(&quiet_cfg(), 204, |e| {
+            let r = e.frame(&payload, &opts, Some((&schedule, 7)), "early abort");
+            assert!(r.aborted_at_sample.is_some(), "burst failed to provoke abort");
+            // The next frame's draws continue where the aborted frame's
+            // stopped.
+            e.frame(&payload, &opts, None, "after abort");
+        });
     }
 
     #[test]
     fn block_matches_reference_under_fault_grid() {
         // One representative of every fault class, windows straddling
         // acquisition, header, payload and the feedback epoch.
-        use fdb_channel::impairment::{FaultKind, FaultTarget, ScheduledFault};
         let mk = |kind, start, duration| ScheduledFault { start, duration, kind };
         let schedules: Vec<(&str, Vec<ScheduledFault>)> = vec![
             (
@@ -2095,20 +2200,9 @@ mod tests {
         ];
         let payload: Vec<u8> = (0..64u8).map(|i| i.wrapping_mul(11)).collect();
         for (name, schedule) in schedules {
-            let mut rng_r = ChaCha8Rng::seed_from_u64(205);
-            let mut rng_b = ChaCha8Rng::seed_from_u64(205);
-            let mut link_r = FdLink::new(quiet_cfg(), &mut rng_r).unwrap();
-            let mut link_b = FdLink::new(quiet_cfg(), &mut rng_b).unwrap();
-            let opts = RunOptions::fd_monitor();
-            let mut faults_r = FrameFaults::new(schedule.clone(), 11);
-            let mut faults_b = FrameFaults::new(schedule, 11);
-            let r = link_r
-                .run_frame_reference(&payload, &opts, &mut rng_r, Some(&mut faults_r))
-                .unwrap();
-            let b = link_b
-                .run_frame_block(&payload, &opts, &mut rng_b, Some(&mut faults_b))
-                .unwrap();
-            assert_outcomes_identical(&r, &b, name);
+            with_engines(&quiet_cfg(), 205, |e| {
+                e.frame(&payload, &RunOptions::fd_monitor(), Some((&schedule, 11)), name);
+            });
         }
     }
 

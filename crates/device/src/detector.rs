@@ -46,11 +46,32 @@ impl DetectorChain {
     /// pass fraction) into a noisy envelope sample.
     #[inline]
     pub fn process<R: Rng + ?Sized>(&mut self, field: Iq, rng: &mut R) -> f64 {
+        let noise = self.draw_noise(rng);
+        self.process_with(field, noise)
+    }
+
+    /// The chain's standard-normal noise draw for one sample: one
+    /// `randn`, or nothing (0) when σ is 0.
+    #[inline]
+    pub fn draw_noise<R: Rng + ?Sized>(&self, rng: &mut R) -> f64 {
+        if self.noise_sigma == 0.0 {
+            0.0
+        } else {
+            fdb_dsp::math::randn(rng)
+        }
+    }
+
+    /// [`process`](DetectorChain::process) with its standard-normal noise
+    /// draw supplied by the caller (ignored when σ is 0). A noiseless
+    /// chain returns the clean envelope itself rather than `clean + 0.0`,
+    /// which would turn a −0.0 into +0.0.
+    #[inline]
+    pub fn process_with(&mut self, field: Iq, noise: f64) -> f64 {
         let clean = self.env.process(field);
         if self.noise_sigma == 0.0 {
             clean
         } else {
-            clean + self.noise_sigma * fdb_dsp::math::randn(rng)
+            clean + self.noise_sigma * noise
         }
     }
 

@@ -175,10 +175,25 @@ impl TagHardware {
     /// detector (measurement) and the harvester (energy), and the noisy
     /// envelope sample is returned.
     pub fn step_receive<R: Rng + ?Sized>(&mut self, incident: Iq, dt: f64, rng: &mut R) -> f64 {
+        let noise = self.detector.draw_noise(rng);
+        self.step_receive_with(incident, dt, noise)
+    }
+
+    /// [`step_receive`](TagHardware::step_receive) with the detector's
+    /// standard-normal noise draw supplied by the caller (see
+    /// [`DetectorChain::process_with`]).
+    #[inline]
+    pub fn step_receive_with(&mut self, incident: Iq, dt: f64, detector_noise: f64) -> f64 {
         let pass_amp = self.pass_amp[self.switch.state() as usize];
         let field_in = incident * pass_amp;
         self.harvester.harvest(field_in.norm_sq(), dt);
-        self.detector.process(field_in, rng)
+        self.detector.process_with(field_in, detector_noise)
+    }
+
+    /// Standard deviation of the detector's envelope noise (0 = noiseless:
+    /// the detector draws nothing).
+    pub fn detector_noise_sigma(&self) -> f64 {
+        self.detector.noise_sigma()
     }
 
     /// Slices an envelope sample against a threshold using the comparator.

@@ -194,9 +194,23 @@ pub fn binomial_tail(n: u64, k: u64, p: f64) -> f64 {
 /// consumer's RNG stream position independent of call history. Every
 /// golden in the repository depends on this draw order and operation
 /// sequence.
+#[inline]
 pub fn randn<R: Rng + ?Sized>(rng: &mut R) -> f64 {
+    gauss(randn_uniforms(rng))
+}
+
+/// The two uniforms [`randn`] draws, in its order: all of its RNG use.
+#[inline]
+pub fn randn_uniforms<R: Rng + ?Sized>(rng: &mut R) -> [f64; 2] {
     let u1: f64 = rng.gen_range(f64::MIN_POSITIVE..1.0);
     let u2: f64 = rng.gen_range(0.0..1.0);
+    [u1, u2]
+}
+
+/// [`randn`]'s Box–Muller transform of the uniforms
+/// [`randn_uniforms`] drew: a pure function, so it may run anywhere.
+#[inline]
+pub fn gauss([u1, u2]: [f64; 2]) -> f64 {
     (-2.0 * u1.ln()).sqrt() * (2.0 * std::f64::consts::PI * u2).cos()
 }
 

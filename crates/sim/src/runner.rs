@@ -3,6 +3,7 @@
 use crate::faults::FaultPlan;
 use crate::metrics::LinkMetrics;
 use fdb_channel::impairment::FrameFaults;
+use fdb_core::draws::{enter_run, with_draw_ahead, DrawAhead, Tape};
 use fdb_core::frame::bytes_to_bits_into;
 use fdb_core::link::{FdLink, FeedbackPolicy, FrameOutcome, FrameRun, LinkConfig, RunOptions};
 use fdb_core::trace::{TraceSink, TraceSinkSpec};
@@ -174,10 +175,43 @@ impl<'a> LinkRun<'a> {
 /// `LinkMetrics::trace_dropped`. A sink in a build whose engine cannot
 /// trace ([`fdb_core::trace::ENABLED`] is `false`) is refused with
 /// [`PhyError::TraceSink`] before any frame runs or any sink is built.
+///
+/// An untraced run whose draws do not depend on the sample index
+/// ([`LinkConfig::draws_depend_on_sample_index`]) draws ahead when a core
+/// is free ([`enter_run`]): a scoped helper thread makes every sample's
+/// RNG draws from clones of the run's RNG and ambient source, taken right
+/// after the link is built, and the block engine reads them from a
+/// bounded ring, shaping the noise itself ([`fdb_core::draws`]). The metrics are identical
+/// bit for bit either way. The helper is stopped and joined before
+/// `run_link` returns, on every path: success, error, cancellation or a
+/// panicking observer.
 pub fn run_link(
     cfg: &LinkConfig,
     spec: &MeasureSpec,
     run: LinkRun<'_>,
+) -> Result<LinkMetrics, PhyError> {
+    run_link_drawing(cfg, spec, run, DrawAhead::IfCoreFree)
+}
+
+/// [`run_link`] with the draw-ahead helper forced on (whatever the core
+/// count, whenever the run may draw ahead at all) or off. The metrics are
+/// the same either way; tests use this to run both paths on any machine.
+#[doc(hidden)]
+pub fn run_link_with_helper(
+    cfg: &LinkConfig,
+    spec: &MeasureSpec,
+    run: LinkRun<'_>,
+    helper: bool,
+) -> Result<LinkMetrics, PhyError> {
+    let want = if helper { DrawAhead::Always } else { DrawAhead::Inline };
+    run_link_drawing(cfg, spec, run, want)
+}
+
+fn run_link_drawing(
+    cfg: &LinkConfig,
+    spec: &MeasureSpec,
+    run: LinkRun<'_>,
+    want: DrawAhead,
 ) -> Result<LinkMetrics, PhyError> {
     let LinkRun { sink, observe, cancel } = run;
     if (sink.is_some() || !spec.trace.is_null()) && !fdb_core::trace::ENABLED {
@@ -194,7 +228,23 @@ pub fn run_link(
         // Shortens the caller's sink borrow to the one built above.
         sink => sink.map(|s| s as &mut dyn TraceSink),
     };
-    run_link_inner(cfg, spec, observe, cancel, sink)
+    if let Some(plan) = &spec.faults {
+        plan.validate().map_err(|reason| PhyError::InvalidConfig {
+            field: "faults",
+            reason,
+        })?;
+    }
+    let mut rng = ChaCha8Rng::seed_from_u64(spec.seed);
+    let mut link = FdLink::new(cfg.clone(), &mut rng)?;
+    let may_draw_ahead = sink.is_none() && !cfg.draws_depend_on_sample_index();
+    let slot = enter_run(if may_draw_ahead { want } else { DrawAhead::Inline });
+    if !slot.helper() {
+        return run_link_inner(spec, &mut link, &mut rng, None, observe, cancel, sink);
+    }
+    let plan = link.draw_plan().clone();
+    with_draw_ahead(rng.clone(), plan, |tape| {
+        run_link_inner(spec, &mut link, &mut rng, tape, observe, cancel, sink)
+    })
 }
 
 /// The measurement loop. With a sink present, each frame runs through
@@ -206,21 +256,18 @@ pub fn run_link(
 /// engine, BER staging — and re-arms it per frame, so after the first
 /// (warmup) frame the steady state performs no heap allocation
 /// (`tests/alloc_steady_state.rs` pins this with a counting allocator).
+/// With a draw-ahead tape, each frame runs on the block engine reading
+/// its draws from the tape instead of `rng`.
 fn run_link_inner(
-    cfg: &LinkConfig,
     spec: &MeasureSpec,
+    link: &mut FdLink,
+    rng: &mut ChaCha8Rng,
+    mut tape: Option<&mut Tape<'_>>,
     mut observe: Option<&mut FrameObserver<'_>>,
     cancel: Option<&dyn Fn() -> bool>,
     mut sink: Option<&mut dyn TraceSink>,
 ) -> Result<LinkMetrics, PhyError> {
-    if let Some(plan) = &spec.faults {
-        plan.validate().map_err(|reason| PhyError::InvalidConfig {
-            field: "faults",
-            reason,
-        })?;
-    }
-    let mut rng = ChaCha8Rng::seed_from_u64(spec.seed);
-    let mut link = FdLink::new(cfg.clone(), &mut rng)?;
+    let cfg = link.config();
     let mut payload_gen = Prbs::new(PrbsOrder::Prbs23, prbs_seed(spec.seed, PAYLOAD_SALT));
     let mut fb_gen = Prbs::new(PrbsOrder::Prbs15, prbs_seed(spec.seed, FEEDBACK_SALT));
     let mut metrics = LinkMetrics::default();
@@ -281,7 +328,12 @@ fn run_link_inner(
             s.begin_frame(frame_idx);
             frame = frame.with_sink(s);
         }
-        link.run_frame_into(&payload, &opts, &mut rng, frame, &mut out)?;
+        match tape.as_deref_mut() {
+            Some(tape) => {
+                link.run_frame_block_into(&payload, &opts, tape, frame.faults, &mut out)?
+            }
+            None => link.run_frame_into(&payload, &opts, rng, frame, &mut out)?,
+        }
         if let Some(s) = sink.as_deref_mut() {
             s.end_frame();
         }

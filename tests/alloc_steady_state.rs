@@ -11,39 +11,59 @@
 //! The counter is thread-local, so parallel test threads can't perturb
 //! each other's tallies. Only allocation *requests* are counted
 //! (alloc/alloc_zeroed/realloc); frees are not — releasing capacity is
-//! not a steady-state cost.
+//! not a steady-state cost. A draw-ahead helper thread marks itself when
+//! it first draws (see `HelperRng`), and its allocations are also added
+//! to a process-wide tally only that test reads.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
+use std::sync::atomic::{AtomicU64, Ordering};
 
 use fd_backscatter::channel::impairment::{FaultKind, FrameFaults, ScheduledFault};
 use fd_backscatter::mac::scenario::{run_session, RatePolicy, SessionConfig};
+use fd_backscatter::phy::draws::with_draw_ahead;
 use fd_backscatter::phy::trace::{RingSink, ENABLED};
 use fd_backscatter::prelude::*;
-use rand::SeedableRng;
+use rand::{RngCore, SeedableRng};
 use rand_chacha::ChaCha8Rng;
 
 struct CountingAlloc;
 
 thread_local! {
     static ALLOCS: Cell<u64> = const { Cell::new(0) };
+    /// Set on a draw-ahead helper thread by its first draw.
+    static DRAWS_AHEAD: Cell<bool> = const { Cell::new(false) };
+    /// Set on the thread that runs a draw-ahead engine, which also draws
+    /// (the chunks it finds missing) but counts as the engine.
+    static ENGINE: Cell<bool> = const { Cell::new(false) };
 }
 
-// SAFETY: defers every operation to `System`; the bookkeeping is a
-// thread-local `Cell` bump, which itself never allocates (const-init).
+/// Allocations made on draw-ahead helper threads after their first draw.
+static HELPER_ALLOCS: AtomicU64 = AtomicU64::new(0);
+
+fn count_alloc() {
+    let _ = ALLOCS.try_with(|c| c.set(c.get() + 1));
+    if DRAWS_AHEAD.try_with(Cell::get).unwrap_or(false) {
+        HELPER_ALLOCS.fetch_add(1, Ordering::SeqCst);
+    }
+}
+
+// SAFETY: defers every operation to `System`; the bookkeeping is
+// thread-local `Cell` access (const-init) and an atomic add, neither of
+// which allocates.
 unsafe impl GlobalAlloc for CountingAlloc {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        let _ = ALLOCS.try_with(|c| c.set(c.get() + 1));
+        count_alloc();
         unsafe { System.alloc(layout) }
     }
 
     unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
-        let _ = ALLOCS.try_with(|c| c.set(c.get() + 1));
+        count_alloc();
         unsafe { System.alloc_zeroed(layout) }
     }
 
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        let _ = ALLOCS.try_with(|c| c.set(c.get() + 1));
+        count_alloc();
         unsafe { System.realloc(ptr, layout, new_size) }
     }
 
@@ -90,6 +110,10 @@ const STEADY_FRAMES: u64 = 1000;
 /// Frames for the hunting scenario: an unlocked frame runs its whole
 /// tail through acquisition, the costliest stage in a debug build.
 const HUNTING_FRAMES: u64 = 200;
+
+/// Frames for the draw-ahead scenario, whose helper thread competes with
+/// the other tests for cores.
+const DRAW_AHEAD_FRAMES: u64 = 200;
 
 fn link_cfg() -> LinkConfig {
     link_cfg_at(0.5)
@@ -237,6 +261,54 @@ fn faulted_link_is_allocation_free_after_warmup() {
         record_alloc(name, n, STEADY_FRAMES - 1);
         assert_eq!(n, 0, "faulted frames allocated {n} times in steady state");
     }
+}
+
+/// The run's RNG, marking the threads other than the engine's that draw
+/// from it. Handed to `with_draw_ahead`, it draws on the helper thread,
+/// and on the engine's for any chunk the engine finds missing.
+#[derive(Clone)]
+struct HelperRng(ChaCha8Rng);
+
+impl RngCore for HelperRng {
+    fn next_u64(&mut self) -> u64 {
+        if !ENGINE.with(Cell::get) {
+            DRAWS_AHEAD.with(|h| h.set(true));
+        }
+        self.0.next_u64()
+    }
+}
+
+#[test]
+fn draw_ahead_link_is_allocation_free_after_warmup() {
+    // The block engine reading its draws from a draw-ahead tape, the way
+    // `run_link` runs an untraced link when a core is free: nothing on
+    // the engine thread after the warmup frame, and nothing on the helper
+    // from its first draw on.
+    let mut rng = ChaCha8Rng::seed_from_u64(9);
+    let mut link = FdLink::new(link_cfg(), &mut rng).unwrap();
+    let payload: Vec<u8> = (0..32u8).collect();
+    let opts = RunOptions::fd_monitor();
+    let mut out = FrameOutcome::default();
+    let helper_start = HELPER_ALLOCS.load(Ordering::SeqCst);
+    let plan = link.draw_plan().clone();
+    ENGINE.with(|e| e.set(true));
+    let engine = with_draw_ahead(HelperRng(rng), plan, |tape| {
+        let tape = tape.expect("draw-ahead helper spawned");
+        let mut start = 0;
+        for frame in 0..DRAW_AHEAD_FRAMES {
+            if frame == 1 {
+                start = allocs_on_this_thread();
+            }
+            link.run_frame_block_into(&payload, &opts, tape, None, &mut out)
+                .unwrap();
+            assert!(out.samples_run > 0);
+        }
+        allocs_on_this_thread() - start
+    });
+    let helper = HELPER_ALLOCS.load(Ordering::SeqCst) - helper_start;
+    record_alloc("draw_ahead_link", engine + helper, DRAW_AHEAD_FRAMES - 1);
+    assert_eq!(engine, 0, "the engine allocated {engine} times in steady state");
+    assert_eq!(helper, 0, "the draw-ahead helper allocated {helper} times");
 }
 
 #[test]

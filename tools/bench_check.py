@@ -86,6 +86,8 @@ ALLOC_SCENARIOS = {
     # Out-of-range link: the block engine's batched acquisition pass.
     "alloc/hunting_link_block": 0,
     "alloc/mac_session": 0,
+    # The block engine on a draw-ahead tape: engine and helper thread.
+    "alloc/draw_ahead_link": 0,
     # PR-10: second run of a reused CityEngine (tests/city_scale.rs).
     "alloc/city_steady": 0,
 }
