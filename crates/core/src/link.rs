@@ -1664,7 +1664,7 @@ fn finish_into(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::draws::{with_draw_ahead, Tape};
+    use crate::draws::{enter_run, with_draw_ahead, DrawAhead, Tape};
     use fdb_channel::impairment::{FaultKind, FaultTarget, ScheduledFault};
     use rand::SeedableRng;
     use rand_chacha::ChaCha8Rng;
@@ -1857,7 +1857,7 @@ mod tests {
         if cfg.draws_depend_on_sample_index() {
             engines(None)
         } else {
-            with_draw_ahead(rng_t, plan, |tape| {
+            with_draw_ahead(&enter_run(DrawAhead::Always), rng_t, plan, |tape| {
                 engines(Some(tape.expect("draw-ahead helper spawned")))
             })
         }

@@ -249,6 +249,30 @@ fn invalid_submission_is_rejected_inline() {
         other => panic!("expected Rejected, got {other:?}"),
     }
 
+    // A payload over the frame limit is refused before a worker could
+    // allocate its buffer (a `usize::MAX` one would panic the run).
+    let JobSpec::Link { link, spec } = link_job(2, 1) else {
+        unreachable!()
+    };
+    let job = JobSpec::Link {
+        link,
+        spec: MeasureSpec {
+            payload_len: usize::MAX,
+            ..spec
+        },
+    };
+    client
+        .send(&Request::Submit {
+            job,
+            stream_trace: false,
+            timeout_ms: 0,
+        })
+        .unwrap();
+    match client.recv().unwrap().unwrap() {
+        Response::Rejected { reason } => assert!(reason.contains("spec.payload_len"), "{reason}"),
+        other => panic!("expected Rejected, got {other:?}"),
+    }
+
     // Trace requests from the socket are refused: a job naming a JSONL
     // path would write that file, and a ring of 2^50 events would abort
     // the service on allocation. Clients trace through `stream_trace`.

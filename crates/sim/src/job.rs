@@ -242,18 +242,30 @@ impl JobSpec {
     /// because a job comes from outside the process and a sink spec would
     /// let it write any file the service can. Callers trace a job by
     /// attaching a sink to its [`RunControl`] (the service's
-    /// `stream_trace`).
+    /// `stream_trace`). Its `spec.payload_len` is at most
+    /// [`MAX_PAYLOAD`](fdb_core::frame::MAX_PAYLOAD), so an oversized
+    /// payload is refused here rather than allocated by the run's first
+    /// frame.
     pub fn validate(&self) -> Result<(), String> {
-        let untraced = |what: &str, spec: &MeasureSpec| {
-            if spec.trace.is_null() {
-                return Ok(());
+        let measurable = |what: &str, spec: &MeasureSpec| {
+            if !spec.trace.is_null() {
+                return Err(format!(
+                    "{what}: spec.trace must be Null; stream traces instead"
+                ));
             }
-            Err(format!("{what}: spec.trace must be Null; stream traces instead"))
+            let max = fdb_core::frame::MAX_PAYLOAD;
+            if spec.payload_len > max {
+                return Err(format!(
+                    "{what}: spec.payload_len {} exceeds the frame limit {max}",
+                    spec.payload_len
+                ));
+            }
+            Ok(())
         };
         match self {
             JobSpec::Link { link, spec } => {
                 link.validate().map_err(|e| format!("link job: {e}"))?;
-                untraced("link job", spec)?;
+                measurable("link job", spec)?;
                 if spec.frames == 0 {
                     return Err("link job: spec.frames must be ≥ 1".into());
                 }
@@ -272,7 +284,7 @@ impl JobSpec {
                     sc.link
                         .validate()
                         .map_err(|e| format!("matrix scenario '{}': {e}", sc.label))?;
-                    untraced(&format!("matrix scenario '{}'", sc.label), &sc.spec)?;
+                    measurable(&format!("matrix scenario '{}'", sc.label), &sc.spec)?;
                 }
                 for named in plans {
                     named
@@ -614,6 +626,45 @@ mod tests {
             (JobSpec::Link { link: big, spec }, "trace_capacity"),
         ] {
             assert!(job.validate().unwrap_err().contains(why));
+        }
+    }
+
+    #[test]
+    fn validate_bounds_the_payload_by_the_frame_limit() {
+        use fdb_core::frame::MAX_PAYLOAD;
+        let JobSpec::Link { link, spec } = link_job(2) else {
+            unreachable!()
+        };
+        let with_payload = |payload_len: usize| {
+            let spec = MeasureSpec {
+                payload_len,
+                ..spec.clone()
+            };
+            let matrix = JobSpec::Matrix {
+                scenarios: vec![MatrixScenario {
+                    label: "s".into(),
+                    link: link.clone(),
+                    spec: spec.clone(),
+                }],
+                plans: Vec::new(),
+                plan_seed: 0,
+            };
+            [
+                JobSpec::Link {
+                    link: link.clone(),
+                    spec,
+                },
+                matrix,
+            ]
+        };
+        for job in with_payload(MAX_PAYLOAD) {
+            assert_eq!(job.validate(), Ok(()), "{}", job.kind());
+        }
+        for len in [MAX_PAYLOAD + 1, usize::MAX] {
+            for job in with_payload(len) {
+                let err = job.validate().unwrap_err();
+                assert!(err.contains("spec.payload_len"), "{}: {err}", job.kind());
+            }
         }
     }
 }

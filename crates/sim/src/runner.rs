@@ -180,11 +180,13 @@ impl<'a> LinkRun<'a> {
 /// ([`LinkConfig::draws_depend_on_sample_index`]) draws ahead when a core
 /// is free ([`enter_run`]): a scoped helper thread makes every sample's
 /// RNG draws from clones of the run's RNG and ambient source, taken right
-/// after the link is built, and the block engine reads them from a
-/// bounded ring, shaping the noise itself ([`fdb_core::draws`]). The metrics are identical
-/// bit for bit either way. The helper is stopped and joined before
-/// `run_link` returns, on every path: success, error, cancellation or a
-/// panicking observer.
+/// after the link is built, and in its spare time the field-noise
+/// Gaussians; the block engine reads them from a bounded ring and shapes
+/// the noise the helper did not reach ([`fdb_core::draws`]). While later
+/// runs fill the cores, the helper gives its core back and the engine
+/// draws for itself. The metrics are identical bit for bit either way.
+/// The helper is stopped and joined before `run_link` returns, on every
+/// path: success, error, cancellation or a panicking observer.
 pub fn run_link(
     cfg: &LinkConfig,
     spec: &MeasureSpec,
@@ -242,7 +244,7 @@ fn run_link_drawing(
         return run_link_inner(spec, &mut link, &mut rng, None, observe, cancel, sink);
     }
     let plan = link.draw_plan().clone();
-    with_draw_ahead(rng.clone(), plan, |tape| {
+    with_draw_ahead(&slot, rng.clone(), plan, |tape| {
         run_link_inner(spec, &mut link, &mut rng, tape, observe, cancel, sink)
     })
 }

@@ -21,7 +21,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 
 use fd_backscatter::channel::impairment::{FaultKind, FrameFaults, ScheduledFault};
 use fd_backscatter::mac::scenario::{run_session, RatePolicy, SessionConfig};
-use fd_backscatter::phy::draws::with_draw_ahead;
+use fd_backscatter::phy::draws::{enter_run, with_draw_ahead, DrawAhead};
 use fd_backscatter::phy::trace::{RingSink, ENABLED};
 use fd_backscatter::prelude::*;
 use rand::{RngCore, SeedableRng};
@@ -292,7 +292,8 @@ fn draw_ahead_link_is_allocation_free_after_warmup() {
     let helper_start = HELPER_ALLOCS.load(Ordering::SeqCst);
     let plan = link.draw_plan().clone();
     ENGINE.with(|e| e.set(true));
-    let engine = with_draw_ahead(HelperRng(rng), plan, |tape| {
+    let run = enter_run(DrawAhead::Always);
+    let engine = with_draw_ahead(&run, HelperRng(rng), plan, |tape| {
         let tape = tape.expect("draw-ahead helper spawned");
         let mut start = 0;
         for frame in 0..DRAW_AHEAD_FRAMES {

@@ -10,12 +10,12 @@
 use fd_backscatter::phy::hash::canonical_json;
 use fd_backscatter::phy::PhyError;
 use fd_backscatter::prelude::*;
-use fd_backscatter::sim::runner::run_link_with_helper;
+use fd_backscatter::sim::runner::{run_link, run_link_with_helper};
 use fd_backscatter::sim::{FaultPlan, LinkMetrics};
 use serde::Deserialize;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::mpsc;
-use std::sync::{Mutex, MutexGuard};
+use std::sync::{Barrier, Mutex, MutexGuard};
 use std::time::{Duration, Instant};
 
 static HELPERS: Mutex<()> = Mutex::new(());
@@ -202,4 +202,33 @@ fn every_exit_path_stops_and_joins_the_helper() {
         assert!(took < Duration::from_secs(2), "{exit:?}: {took:?} to return");
         assert_no_helper_left(&format!("{exit:?}"));
     }
+}
+
+#[test]
+fn concurrent_runs_match_their_sequential_metrics() {
+    // On two cores the first run to start takes the free core's helper,
+    // and the second run's start takes that core back: the first run's
+    // engine then draws its chunks itself until the other run leaves.
+    let _helpers = hold_helpers();
+    let file: ScenarioFile =
+        serde_json::from_str(&std::fs::read_to_string("configs/near_tower.json").unwrap()).unwrap();
+    let specs = [1, 2].map(|seed| MeasureSpec {
+        seed,
+        ..file.spec.clone()
+    });
+    let run =
+        |spec: &MeasureSpec| canonical_json(&run_link(&file.link, spec, LinkRun::new()).unwrap());
+    let sequential = specs.each_ref().map(run);
+    let start = Barrier::new(specs.len());
+    let concurrent = std::thread::scope(|s| {
+        let runs = specs.each_ref().map(|spec| {
+            s.spawn(|| {
+                start.wait();
+                run(spec)
+            })
+        });
+        runs.map(|r| r.join().unwrap())
+    });
+    assert_eq!(concurrent, sequential);
+    assert_no_helper_left("concurrent runs");
 }
