@@ -52,12 +52,13 @@
 //!
 //! `--faults PATH` attaches a scripted [`fdb_sim::faults::FaultPlan`]
 //! (JSON, see `configs/faults/`) to any run mode; fault activations land
-//! in the metrics/summary output. `--validate-trace PATH` parses a trace
-//! JSONL file line-by-line and exits non-zero on the first malformed
-//! line. An invocation with no subcommand runs `replay`.
+//! in the metrics/summary output. `--validate-trace PATH` checks a trace
+//! JSONL file's lines and frame markers and exits non-zero on the first
+//! malformed or misframed line. An invocation with no subcommand runs
+//! `replay`.
 
 use fdb_core::link::{FdLink, FrameRun, LinkConfig, RunOptions};
-use fdb_core::trace::parse_trace_line;
+use fdb_core::trace::check_trace_stream;
 use fdb_sim::faults::FaultPlan;
 use fdb_sim::{LinkRun, MeasureSpec};
 use rand::SeedableRng;
@@ -1042,26 +1043,20 @@ fn submit_cmd(_args: &Args) {
     std::process::exit(2);
 }
 
-/// Parses a trace JSONL file line-by-line, exiting non-zero with the
-/// offending line number on the first parse failure.
+/// Checks a trace JSONL file line by line and frame by frame
+/// ([`check_trace_stream`]), exiting non-zero with the first offending
+/// line number.
 fn validate_trace(path: &str) {
     let text = std::fs::read_to_string(path).unwrap_or_else(|e| {
         eprintln!("cannot read {path}: {e}");
         std::process::exit(2);
     });
-    let (mut events, mut frames) = (0u64, 0u64);
-    for (i, line) in text.lines().enumerate() {
-        match parse_trace_line(line) {
-            Ok(fdb_core::trace::TraceLine::Event(_)) => events += 1,
-            Ok(fdb_core::trace::TraceLine::FrameEnd { .. }) => frames += 1,
-            Ok(fdb_core::trace::TraceLine::FrameStart { .. }) => {}
-            Err(e) => {
-                eprintln!("{path}:{}: {e}", i + 1);
-                std::process::exit(1);
-            }
-        }
-    }
+    let counts = check_trace_stream(&text).unwrap_or_else(|e| {
+        eprintln!("{path}: {e}");
+        std::process::exit(1);
+    });
     println!(
-        "{{\"validated\":\"{path}\",\"frames\":{frames},\"events\":{events}}}"
+        "{{\"validated\":\"{path}\",\"frames\":{},\"events\":{}}}",
+        counts.frames, counts.events
     );
 }

@@ -31,25 +31,22 @@
 //!
 //! ## Choosing a sink backend
 //!
-//! There is one trace path: the caller's sink. Three backends store
+//! There is one trace path: the caller's sink. Two backends store
 //! events, and one discards them:
 //!
 //! * [`RingSink`] — a bounded in-memory ring ([`FrameTrace`]). When it
 //!   overflows, the *oldest* events are evicted and counted, so the tail
 //!   of a frame — where failures usually manifest — is always retained.
 //!   Pick it to inspect a frame interactively (tests, `probe replay`).
-//! * [`JsonlFileSink`] — streams events to a JSON-lines file, staging at
-//!   most one frame in memory and flushing on every frame boundary, with
-//!   byte/event counters. Pick it for long calibration sweeps where an
-//!   in-memory ring would either grow without bound or silently evict
-//!   everything but the last frame.
-//! * [`ChannelSink`] — stages frames exactly like [`JsonlFileSink`] but
-//!   sends each completed frame's JSONL block through an in-process
-//!   channel as a [`TraceChunk`] instead of writing a file. Pick it to
-//!   stream a live trace across threads — the job service forwards the
-//!   chunks over its client socket, and because both sinks share one
-//!   staging engine the streamed bytes equal the file sink's output
-//!   byte-for-byte.
+//! * [`JsonlFileSink`] — the one JSONL sink. It stages at most one frame
+//!   in memory and hands each finished frame's block to its destination,
+//!   with frame/event/drop/byte counters. The destination is a file
+//!   ([`JsonlFileSink::create`]) or a caller's per-frame callback
+//!   ([`JsonlFileSink::from_fn`]); both receive the same bytes. Pick the
+//!   file for long calibration sweeps, where an in-memory ring would
+//!   either grow without bound or evict everything but the last frame.
+//!   Pick the callback to stream a live trace: the job service sends each
+//!   block over its client socket from the worker that runs the job.
 //! * [`NullSink`] — counts and discards. Pick it when only the
 //!   `events_recorded` tally matters.
 //!
@@ -70,8 +67,8 @@ use serde::{Deserialize, Serialize};
 use std::borrow::Cow;
 use std::collections::VecDeque;
 use std::fs::File;
-use std::io::{BufWriter, Write};
-use std::path::{Path, PathBuf};
+use std::io::Write;
+use std::path::Path;
 
 /// Whether this build records trace events: `true` only with the `trace`
 /// feature. Frame runs and drivers refuse a sink with
@@ -470,7 +467,7 @@ impl TraceSink for NullSink {
 
 /// Closing statistics of a [`JsonlFileSink`] (see
 /// [`finish`](JsonlFileSink::finish)).
-#[derive(Debug, Clone, Serialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Serialize)]
 pub struct JsonlSinkSummary {
     /// Frames completed.
     pub frames: u64,
@@ -478,93 +475,116 @@ pub struct JsonlSinkSummary {
     pub events: u64,
     /// Events dropped (per-frame cap or write failure).
     pub dropped: u64,
-    /// Total bytes written.
+    /// Total bytes the destination accepted (file or callback alike).
     pub bytes: u64,
 }
 
-/// Shared line-staging engine behind the streaming sinks.
+/// A [`JsonlFileSink`] destination: writes one finished frame's block.
+type FrameWriter<'a> = Box<dyn FnMut(u64, &str) -> std::io::Result<()> + Send + 'a>;
+
+/// Streams [`TraceEvent`]s as JSON lines, one frame block at a time.
 ///
-/// Stages exactly one frame's JSONL block in memory — a
-/// `{"frame_start":N}` marker, at most `frame_cap` event lines, and a
-/// `{"frame_end":N,"events":K,"dropped":D}` marker — so that every
-/// streaming backend emits **byte-identical framing** for the same event
-/// stream. [`JsonlFileSink`] appends the block to a file;
-/// [`ChannelSink`] sends it through an in-process channel (how the job
-/// service streams traces over its socket). The service-smoke check that
-/// a socket-streamed trace equals the file sink's output byte-for-byte
-/// rests on both backends staging through this one engine.
-#[derive(Debug)]
-struct FrameStager {
-    /// Lines of the currently open frame.
+/// Each frame appears as a `{"frame_start":N}` line, the frame's event
+/// lines (one externally-tagged [`TraceEvent`] object per line), and a
+/// `{"frame_end":N,"events":K,"dropped":D}` line. At most one frame is
+/// staged in memory — bounded by the per-frame event cap — and the staged
+/// block goes to the destination on every frame boundary, so resident
+/// memory stays constant over arbitrarily long sweeps.
+///
+/// The destination is a file ([`create`](JsonlFileSink::create)) or a
+/// per-frame callback ([`from_fn`](JsonlFileSink::from_fn)). Both receive
+/// the same bytes and the sink keeps the same counters for both, so a
+/// trace streamed through a callback equals the file a direct run writes,
+/// byte for byte. A destination that fails — a write error, or the
+/// callback returning `Err` — turns the sink inert: the failed frame's
+/// events and every later event count as dropped, and the error surfaces
+/// through [`TraceSink::io_error`] and [`finish`](JsonlFileSink::finish).
+pub struct JsonlFileSink<'a> {
+    write_frame: FrameWriter<'a>,
+    /// Lines of the open frame. Cleared, not freed, once the frame is
+    /// written, so steady-state frames reuse its storage.
     staged: String,
-    /// Recycled block storage handed back by the backend after a
-    /// completed frame was consumed — the next frame stages into it
-    /// instead of re-growing a fresh `String`.
-    spare: String,
+    /// Event lines staged in the open frame.
     staged_events: u64,
+    /// Events dropped from the open frame (its `frame_end` reports them).
+    frame_dropped: u64,
     frame: Option<u64>,
     next_auto_frame: u64,
-    frame_dropped: u64,
     frame_cap: usize,
     peak_staged_bytes: usize,
-}
-
-/// One completed frame's staged JSONL block.
-#[derive(Debug)]
-struct StagedFrame {
-    /// Driver-assigned frame index.
-    frame: u64,
-    /// The frame's lines, each `\n`-terminated.
-    text: String,
-    /// Event lines staged (markers excluded).
+    frames: u64,
     events: u64,
+    dropped: u64,
+    bytes: u64,
+    error: Option<String>,
 }
 
-impl FrameStager {
-    /// Nominal serialized bytes per event line, for [`reserve`](FrameStager::reserve).
+impl JsonlFileSink<'static> {
+    /// Creates (truncates) `path` and returns a sink writing each frame's
+    /// block to it, with the default per-frame cap
+    /// ([`DEFAULT_TRACE_CAPACITY`]).
+    pub fn create(path: impl AsRef<Path>) -> std::io::Result<Self> {
+        let path = path.as_ref().to_path_buf();
+        let mut file = File::create(&path)?;
+        Ok(JsonlFileSink::from_fn(move |_, text| {
+            file.write_all(text.as_bytes())
+                .map_err(|e| std::io::Error::new(e.kind(), format!("{}: {e}", path.display())))
+        }))
+    }
+}
+
+impl<'a> JsonlFileSink<'a> {
+    /// Nominal serialized bytes per event line, for [`TraceSink::reserve`].
     const NOMINAL_LINE_BYTES: usize = 48;
 
-    fn new() -> Self {
-        FrameStager {
+    /// A sink handing each finished frame to `write_frame(frame, text)`,
+    /// where `text` is exactly the block [`create`](JsonlFileSink::create)
+    /// would append to its file, each line `\n`-terminated. The default
+    /// per-frame cap applies ([`DEFAULT_TRACE_CAPACITY`]).
+    pub fn from_fn(write_frame: impl FnMut(u64, &str) -> std::io::Result<()> + Send + 'a) -> Self {
+        JsonlFileSink {
+            write_frame: Box::new(write_frame),
             staged: String::new(),
-            spare: String::new(),
             staged_events: 0,
+            frame_dropped: 0,
             frame: None,
             next_auto_frame: 0,
-            frame_dropped: 0,
             frame_cap: DEFAULT_TRACE_CAPACITY,
             peak_staged_bytes: 0,
+            frames: 0,
+            events: 0,
+            dropped: 0,
+            bytes: 0,
+            error: None,
         }
     }
 
-    fn set_frame_cap(&mut self, cap: usize) {
+    /// Caps the events retained per frame (mirrors the ring bound; the
+    /// overflow is counted as dropped). Zero is clamped to 1.
+    pub fn with_frame_cap(mut self, cap: usize) -> Self {
         self.frame_cap = cap.max(1);
+        self
     }
 
-    /// Pre-sizes the staging buffer for frames of up to `events` lines
-    /// (clamped to the per-frame cap): the larger of the high-water mark
-    /// already observed and a nominal per-line estimate.
-    fn reserve(&mut self, events: usize) {
-        let want = self
-            .peak_staged_bytes
-            .max(events.min(self.frame_cap).saturating_mul(Self::NOMINAL_LINE_BYTES));
-        let cap = self.staged.capacity();
-        if cap < want {
-            self.staged.reserve(want - cap);
+    /// Largest number of bytes ever staged in memory for one frame — the
+    /// resident-memory high-water mark of the sink.
+    pub fn peak_staged_bytes(&self) -> usize {
+        self.peak_staged_bytes
+    }
+
+    /// Flushes any open frame and closes the sink, returning the final
+    /// statistics (or the first destination error).
+    pub fn finish(mut self) -> std::io::Result<JsonlSinkSummary> {
+        self.end_frame();
+        match self.error {
+            Some(reason) => Err(std::io::Error::other(reason)),
+            None => Ok(JsonlSinkSummary {
+                frames: self.frames,
+                events: self.events,
+                dropped: self.dropped,
+                bytes: self.bytes,
+            }),
         }
-    }
-
-    /// Hands a consumed frame block's storage back for reuse by the next
-    /// frame.
-    fn recycle(&mut self, mut text: String) {
-        text.clear();
-        if text.capacity() > self.spare.capacity() {
-            self.spare = text;
-        }
-    }
-
-    fn open(&self) -> bool {
-        self.frame.is_some()
     }
 
     fn stage_line(&mut self, line: &str) {
@@ -573,352 +593,84 @@ impl FrameStager {
         self.peak_staged_bytes = self.peak_staged_bytes.max(self.staged.len());
     }
 
-    /// Opens frame `frame` (caller guarantees no frame is open).
-    fn begin_frame(&mut self, frame: u64) {
-        debug_assert!(self.frame.is_none(), "frame already open");
-        if self.staged.capacity() < self.spare.capacity() {
-            std::mem::swap(&mut self.staged, &mut self.spare);
-        }
+    /// Opens frame `frame` (no frame may be open).
+    fn open(&mut self, frame: u64) {
         self.frame = Some(frame);
-        self.frame_dropped = 0;
         self.stage_line(&format!("{{\"frame_start\":{frame}}}"));
     }
+}
 
-    /// Opens the next auto-numbered frame (unbracketed `record`).
-    fn begin_auto_frame(&mut self) {
-        let frame = self.next_auto_frame;
-        self.begin_frame(frame);
+impl TraceSink for JsonlFileSink<'_> {
+    /// Pre-sizes the staging buffer for frames of up to `events` lines
+    /// (clamped to the per-frame cap): the larger of the high-water mark
+    /// already observed and a nominal per-line estimate.
+    fn reserve(&mut self, events: usize) {
+        let want = self.peak_staged_bytes.max(
+            events
+                .min(self.frame_cap)
+                .saturating_mul(Self::NOMINAL_LINE_BYTES),
+        );
+        self.staged.reserve(want.saturating_sub(self.staged.len()));
     }
 
-    /// Stages one event line; `false` means the event was dropped (cap
-    /// reached or serialization failed).
-    fn record(&mut self, event: &TraceEvent) -> bool {
-        if self.staged_events >= self.frame_cap as u64 {
-            self.frame_dropped += 1;
-            return false;
+    fn begin_frame(&mut self, frame: u64) {
+        self.end_frame();
+        if self.error.is_none() {
+            self.open(frame);
         }
-        match serde_json::to_string(event) {
-            Ok(line) => {
+    }
+
+    fn record(&mut self, event: TraceEvent) {
+        if self.error.is_some() {
+            self.dropped += 1;
+            return;
+        }
+        if self.frame.is_none() {
+            self.open(self.next_auto_frame);
+        }
+        let line = if self.staged_events < self.frame_cap as u64 {
+            serde_json::to_string(&event).ok()
+        } else {
+            None
+        };
+        match line {
+            Some(line) => {
                 self.stage_line(&line);
                 self.staged_events += 1;
-                true
+                self.events += 1;
             }
-            Err(_) => {
+            None => {
                 self.frame_dropped += 1;
-                false
+                self.dropped += 1;
             }
         }
     }
 
-    /// Closes the open frame, staging the end marker, and hands the
-    /// completed block to the backend. `None` when no frame was open.
-    fn end_frame(&mut self) -> Option<StagedFrame> {
-        let frame = self.frame.take()?;
+    fn end_frame(&mut self) {
+        let Some(frame) = self.frame.take() else {
+            return;
+        };
         self.next_auto_frame = frame + 1;
         self.stage_line(&format!(
             "{{\"frame_end\":{frame},\"events\":{},\"dropped\":{}}}",
             self.staged_events, self.frame_dropped
         ));
-        let text = std::mem::take(&mut self.staged);
-        let out = StagedFrame {
-            frame,
-            text,
-            events: self.staged_events,
-        };
-        self.staged_events = 0;
-        self.frame_dropped = 0;
-        Some(out)
-    }
-
-    /// Discards anything currently staged (backend failure), returning
-    /// how many staged event lines never reached the backend.
-    fn abandon_staged(&mut self) -> u64 {
-        let n = self.staged_events;
-        self.staged.clear();
-        self.staged_events = 0;
-        n
-    }
-}
-
-/// Streams [`TraceEvent`]s to a JSON-lines file.
-///
-/// Each frame appears as a `{"frame_start":N}` line, the frame's event
-/// lines (one externally-tagged [`TraceEvent`] object per line), and a
-/// `{"frame_end":N,"events":K,"dropped":D}` line. At most one frame is
-/// staged in memory — bounded by the per-frame event cap — and the staged
-/// bytes are written and flushed on every frame boundary, so resident
-/// memory stays constant over arbitrarily long sweeps.
-#[derive(Debug)]
-pub struct JsonlFileSink {
-    path: PathBuf,
-    writer: Option<BufWriter<File>>,
-    stager: FrameStager,
-    bytes_total: u64,
-    frames: u64,
-    events: u64,
-    dropped: u64,
-    error: Option<String>,
-}
-
-impl JsonlFileSink {
-    /// Creates (truncates) `path` and returns a sink streaming to it,
-    /// with the default per-frame cap ([`DEFAULT_TRACE_CAPACITY`]).
-    pub fn create(path: impl AsRef<Path>) -> std::io::Result<Self> {
-        let path = path.as_ref().to_path_buf();
-        let writer = BufWriter::new(File::create(&path)?);
-        Ok(JsonlFileSink {
-            path,
-            writer: Some(writer),
-            stager: FrameStager::new(),
-            bytes_total: 0,
-            frames: 0,
-            events: 0,
-            dropped: 0,
-            error: None,
-        })
-    }
-
-    /// Caps the events retained per frame (mirrors the ring bound; the
-    /// overflow is counted as dropped). Zero is clamped to 1.
-    pub fn with_frame_cap(mut self, cap: usize) -> Self {
-        self.stager.set_frame_cap(cap);
-        self
-    }
-
-    /// Largest number of bytes ever staged in memory for one frame — the
-    /// resident-memory high-water mark of the sink.
-    pub fn peak_staged_bytes(&self) -> usize {
-        self.stager.peak_staged_bytes
-    }
-
-    fn fail(&mut self, e: &std::io::Error) {
-        if self.error.is_none() {
-            self.error = Some(format!("{}: {e}", self.path.display()));
-        }
-        self.writer = None;
-        // Anything staged never reached the file: recount it as dropped.
-        let lost = self.stager.abandon_staged();
-        self.dropped += lost;
-        self.events -= lost;
-    }
-
-    /// Flushes any open frame and closes the sink, returning the final
-    /// statistics (or the first backend error).
-    pub fn finish(mut self) -> std::io::Result<JsonlSinkSummary> {
-        self.end_frame();
-        if let Some(mut w) = self.writer.take() {
-            if let Err(e) = w.flush() {
-                self.fail(&e);
+        match (self.write_frame)(frame, &self.staged) {
+            Ok(()) => {
+                self.bytes += self.staged.len() as u64;
+                self.frames += 1;
+            }
+            Err(e) => {
+                // The frame never reached the destination: recount its
+                // events as dropped.
+                self.error = Some(e.to_string());
+                self.dropped += self.staged_events;
+                self.events -= self.staged_events;
             }
         }
-        match self.error {
-            Some(reason) => Err(std::io::Error::other(reason)),
-            None => Ok(JsonlSinkSummary {
-                frames: self.frames,
-                events: self.events,
-                dropped: self.dropped,
-                bytes: self.bytes_total,
-            }),
-        }
-    }
-}
-
-impl TraceSink for JsonlFileSink {
-    fn reserve(&mut self, events: usize) {
-        self.stager.reserve(events);
-    }
-
-    fn begin_frame(&mut self, frame: u64) {
-        if self.stager.open() {
-            self.end_frame();
-        }
-        if self.error.is_some() {
-            return;
-        }
-        self.stager.begin_frame(frame);
-    }
-
-    fn record(&mut self, event: TraceEvent) {
-        if self.error.is_some() {
-            self.dropped += 1;
-            return;
-        }
-        if !self.stager.open() {
-            self.stager.begin_auto_frame();
-        }
-        if self.stager.record(&event) {
-            self.events += 1;
-        } else {
-            self.dropped += 1;
-        }
-    }
-
-    fn end_frame(&mut self) {
-        let Some(staged) = self.stager.end_frame() else {
-            return;
-        };
-        let Some(w) = self.writer.as_mut() else {
-            return;
-        };
-        let res = w.write_all(staged.text.as_bytes()).and_then(|_| w.flush());
-        if let Err(e) = res {
-            self.fail(&e);
-            // The frame was taken from the stager before the write, so
-            // recount its events here rather than in `fail`.
-            self.dropped += staged.events;
-            self.events -= staged.events;
-            return;
-        }
-        self.bytes_total += staged.text.len() as u64;
-        self.frames += 1;
-        self.stager.recycle(staged.text);
-    }
-
-    fn events_recorded(&self) -> u64 {
-        self.events
-    }
-
-    fn events_dropped(&self) -> u64 {
-        self.dropped
-    }
-
-    fn io_error(&self) -> Option<String> {
-        self.error.clone()
-    }
-}
-
-// ---------------------------------------------------------------------------
-// Channel-streaming sink
-// ---------------------------------------------------------------------------
-
-/// One completed frame's JSONL block, as streamed by [`ChannelSink`].
-///
-/// `text` is **exactly** the bytes [`JsonlFileSink`] would have appended
-/// to its file for the same frame under the same per-frame cap: the
-/// `{"frame_start":N}` line, the (capped) event lines, and the
-/// `{"frame_end":N,"events":K,"dropped":D}` line, each `\n`-terminated.
-/// Concatenating every chunk of a run reproduces the file sink's output
-/// byte-for-byte — the property the job service's socket trace streaming
-/// is verified against.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct TraceChunk {
-    /// Driver-assigned frame index.
-    pub frame: u64,
-    /// The frame's JSONL block.
-    pub text: String,
-}
-
-/// Streams each completed frame's JSONL block through an
-/// [`std::sync::mpsc`] channel.
-///
-/// The socket/channel backend the [`TraceSink`] trait was designed for:
-/// the run side records events exactly as it would into a
-/// [`JsonlFileSink`]; a receiver on another thread (the job service's
-/// client connection) drains [`TraceChunk`]s as frames complete. A
-/// disconnected receiver behaves like a failed file write — the sink goes
-/// inert, subsequent events count as dropped, and the error surfaces via
-/// [`TraceSink::io_error`].
-#[derive(Debug)]
-pub struct ChannelSink {
-    tx: std::sync::mpsc::Sender<TraceChunk>,
-    stager: FrameStager,
-    frames: u64,
-    events: u64,
-    dropped: u64,
-    error: Option<String>,
-}
-
-impl ChannelSink {
-    /// Wraps `tx` with the default per-frame cap
-    /// ([`DEFAULT_TRACE_CAPACITY`]).
-    pub fn new(tx: std::sync::mpsc::Sender<TraceChunk>) -> Self {
-        ChannelSink {
-            tx,
-            stager: FrameStager::new(),
-            frames: 0,
-            events: 0,
-            dropped: 0,
-            error: None,
-        }
-    }
-
-    /// Caps the events retained per frame (must match the file sink's cap
-    /// for byte-identical output). Zero is clamped to 1.
-    pub fn with_frame_cap(mut self, cap: usize) -> Self {
-        self.stager.set_frame_cap(cap);
-        self
-    }
-
-    /// Frames sent so far.
-    pub fn frames(&self) -> u64 {
-        self.frames
-    }
-
-    /// Flushes any open frame and returns the send-side statistics (or
-    /// the disconnect error).
-    pub fn finish(mut self) -> std::io::Result<JsonlSinkSummary> {
-        self.end_frame();
-        match self.error {
-            Some(reason) => Err(std::io::Error::other(reason)),
-            None => Ok(JsonlSinkSummary {
-                frames: self.frames,
-                events: self.events,
-                dropped: self.dropped,
-                bytes: 0,
-            }),
-        }
-    }
-}
-
-impl TraceSink for ChannelSink {
-    fn reserve(&mut self, events: usize) {
-        self.stager.reserve(events);
-    }
-
-    fn begin_frame(&mut self, frame: u64) {
-        if self.stager.open() {
-            self.end_frame();
-        }
-        if self.error.is_some() {
-            return;
-        }
-        self.stager.begin_frame(frame);
-    }
-
-    fn record(&mut self, event: TraceEvent) {
-        if self.error.is_some() {
-            self.dropped += 1;
-            return;
-        }
-        if !self.stager.open() {
-            self.stager.begin_auto_frame();
-        }
-        if self.stager.record(&event) {
-            self.events += 1;
-        } else {
-            self.dropped += 1;
-        }
-    }
-
-    fn end_frame(&mut self) {
-        let Some(staged) = self.stager.end_frame() else {
-            return;
-        };
-        if self.error.is_some() {
-            return;
-        }
-        let chunk = TraceChunk {
-            frame: staged.frame,
-            text: staged.text,
-        };
-        if self.tx.send(chunk).is_err() {
-            self.error = Some("trace channel receiver disconnected".to_string());
-            // The frame never reached the receiver: recount it as dropped.
-            self.dropped += staged.events;
-            self.events -= staged.events;
-            return;
-        }
-        self.frames += 1;
+        self.staged.clear();
+        self.staged_events = 0;
+        self.frame_dropped = 0;
     }
 
     fn events_recorded(&self) -> u64 {
@@ -1028,8 +780,8 @@ pub enum TraceLine {
 }
 
 /// Parses one line of a trace JSONL file (frame marker or event),
-/// rejecting anything else with a descriptive message. This is the
-/// line-by-line validator behind the probe CLI's `--validate-trace`.
+/// rejecting anything else with a descriptive message.
+/// [`check_trace_stream`] applies it to every line of a file.
 pub fn parse_trace_line(line: &str) -> Result<TraceLine, String> {
     #[derive(Deserialize)]
     struct StartLine {
@@ -1062,6 +814,65 @@ pub fn parse_trace_line(line: &str) -> Result<TraceLine, String> {
     serde_json::from_str::<TraceEvent>(line)
         .map(TraceLine::Event)
         .map_err(|e| format!("not a trace event or frame marker ({e}): {line}"))
+}
+
+/// Frame and event counts of a trace that passed [`check_trace_stream`].
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct TraceStreamCounts {
+    /// Frames opened and closed.
+    pub frames: u64,
+    /// Event lines, all inside frames.
+    pub events: u64,
+}
+
+/// Checks a whole trace JSONL text as [`JsonlFileSink`] frames it: every
+/// line parses ([`parse_trace_line`]), every event line sits between a
+/// `frame_start` and the `frame_end` of the same frame, frames do not
+/// nest, the last frame is closed, and each `frame_end`'s `events` equals
+/// the event lines since its `frame_start`. The error names the first
+/// offending line (1-based). This is the validator behind the probe
+/// CLI's `--validate-trace`.
+pub fn check_trace_stream(text: &str) -> Result<TraceStreamCounts, String> {
+    let mut counts = TraceStreamCounts {
+        frames: 0,
+        events: 0,
+    };
+    // The open frame and the event lines seen in it.
+    let mut open: Option<(u64, u64)> = None;
+    let mut lines = 0;
+    for (i, line) in text.lines().enumerate() {
+        lines = i + 1;
+        let fail = |reason: String| Err(format!("line {lines}: {reason}"));
+        match (parse_trace_line(line), open) {
+            (Err(e), _) => return fail(e),
+            (Ok(TraceLine::FrameStart { frame }), None) => open = Some((frame, 0)),
+            (Ok(TraceLine::FrameStart { frame }), Some((outer, _))) => {
+                return fail(format!("frame_start {frame} inside open frame {outer}"))
+            }
+            (Ok(TraceLine::Event(_)), Some((frame, n))) => open = Some((frame, n + 1)),
+            (Ok(TraceLine::Event(_)), None) => return fail("event outside any frame".into()),
+            (Ok(TraceLine::FrameEnd { frame, events, .. }), Some((start, n))) => {
+                if frame != start {
+                    return fail(format!("frame_end {frame} closes open frame {start}"));
+                }
+                if events != n {
+                    return fail(format!(
+                        "frame_end {frame} counts {events} events, {n} lines precede it"
+                    ));
+                }
+                counts.frames += 1;
+                counts.events += n;
+                open = None;
+            }
+            (Ok(TraceLine::FrameEnd { frame, .. }), None) => {
+                return fail(format!("frame_end {frame} with no open frame"))
+            }
+        }
+    }
+    match open {
+        Some((frame, _)) => Err(format!("line {lines}: frame {frame} has no frame_end")),
+        None => Ok(counts),
+    }
 }
 
 #[cfg(test)]
@@ -1198,81 +1009,109 @@ mod tests {
         assert_eq!(ring.trace().len(), 4);
     }
 
-    fn temp_path(name: &str) -> PathBuf {
+    fn temp_path(name: &str) -> std::path::PathBuf {
         std::env::temp_dir().join(format!("fdb_trace_{}_{name}.jsonl", std::process::id()))
+    }
+
+    /// Drives one event stream through a file destination and then a
+    /// callback destination under the same frame cap, returning each
+    /// one's bytes and closing counters, file first. The callback also
+    /// checks that each block it gets is labelled with its frame index.
+    fn through_both(
+        name: &str,
+        cap: usize,
+        drive: impl Fn(&mut JsonlFileSink<'_>),
+    ) -> [(String, JsonlSinkSummary); 2] {
+        let path = temp_path(name);
+        let mut file = JsonlFileSink::create(&path).unwrap().with_frame_cap(cap);
+        drive(&mut file);
+        let file_summary = file.finish().unwrap();
+        let written = std::fs::read_to_string(&path).unwrap();
+        std::fs::remove_file(&path).ok();
+
+        let mut streamed = String::new();
+        let mut sink = JsonlFileSink::from_fn(|frame, text| {
+            assert!(text.starts_with(&format!("{{\"frame_start\":{frame}}}\n")));
+            streamed.push_str(text);
+            Ok(())
+        })
+        .with_frame_cap(cap);
+        drive(&mut sink);
+        let streamed_summary = sink.finish().unwrap();
+        [(written, file_summary), (streamed, streamed_summary)]
     }
 
     #[test]
     fn jsonl_sink_writes_framed_parseable_lines() {
-        let path = temp_path("framed");
-        let mut sink = JsonlFileSink::create(&path).unwrap();
-        sink.begin_frame(0);
-        sink.record(TraceEvent::TxChip { sample: 0, chip: 0, state: true });
-        sink.record(TraceEvent::Abort { sample: 9 });
-        sink.end_frame();
-        sink.begin_frame(1);
-        sink.record(TraceEvent::RxRearm { sample: 3, attempts: 1 });
-        let summary = sink.finish().unwrap();
-        assert_eq!(summary.frames, 2, "finish closes the open frame");
-        assert_eq!(summary.events, 3);
-        assert_eq!(summary.dropped, 0);
-
-        let text = std::fs::read_to_string(&path).unwrap();
-        let lines: Vec<TraceLine> = text
-            .lines()
-            .map(|l| parse_trace_line(l).expect("valid line"))
-            .collect();
-        assert_eq!(
-            lines,
-            vec![
-                TraceLine::FrameStart { frame: 0 },
-                TraceLine::Event(TraceEvent::TxChip { sample: 0, chip: 0, state: true }),
-                TraceLine::Event(TraceEvent::Abort { sample: 9 }),
-                TraceLine::FrameEnd { frame: 0, events: 2, dropped: 0 },
-                TraceLine::FrameStart { frame: 1 },
-                TraceLine::Event(TraceEvent::RxRearm { sample: 3, attempts: 1 }),
-                TraceLine::FrameEnd { frame: 1, events: 1, dropped: 0 },
-            ]
-        );
-        assert_eq!(summary.bytes, text.len() as u64);
-        std::fs::remove_file(&path).ok();
+        for (text, summary) in through_both("framed", DEFAULT_TRACE_CAPACITY, |sink| {
+            sink.begin_frame(0);
+            sink.record(TraceEvent::TxChip { sample: 0, chip: 0, state: true });
+            sink.record(TraceEvent::Abort { sample: 9 });
+            sink.end_frame();
+            sink.begin_frame(1);
+            sink.record(TraceEvent::RxRearm { sample: 3, attempts: 1 });
+        }) {
+            assert_eq!(summary.frames, 2, "finish closes the open frame");
+            assert_eq!(summary.events, 3);
+            assert_eq!(summary.dropped, 0);
+            let lines: Vec<TraceLine> = text
+                .lines()
+                .map(|l| parse_trace_line(l).expect("valid line"))
+                .collect();
+            assert_eq!(
+                lines,
+                vec![
+                    TraceLine::FrameStart { frame: 0 },
+                    TraceLine::Event(TraceEvent::TxChip { sample: 0, chip: 0, state: true }),
+                    TraceLine::Event(TraceEvent::Abort { sample: 9 }),
+                    TraceLine::FrameEnd { frame: 0, events: 2, dropped: 0 },
+                    TraceLine::FrameStart { frame: 1 },
+                    TraceLine::Event(TraceEvent::RxRearm { sample: 3, attempts: 1 }),
+                    TraceLine::FrameEnd { frame: 1, events: 1, dropped: 0 },
+                ]
+            );
+            assert_eq!(summary.bytes, text.len() as u64);
+        }
     }
 
     #[test]
     fn jsonl_sink_caps_events_per_frame_and_counts_drops() {
-        let path = temp_path("cap");
-        let mut sink = JsonlFileSink::create(&path).unwrap().with_frame_cap(2);
-        sink.begin_frame(0);
-        for i in 0..5 {
-            sink.record(TraceEvent::Abort { sample: i });
+        // Bracketed and unbracketed (auto-numbered) frames cap alike.
+        for bracketed in [true, false] {
+            for (text, summary) in through_both("cap", 2, |sink| {
+                if bracketed {
+                    sink.begin_frame(0);
+                }
+                for i in 0..5 {
+                    sink.record(TraceEvent::Abort { sample: i });
+                }
+                sink.end_frame();
+                assert_eq!(sink.events_recorded(), 2);
+                assert_eq!(sink.events_dropped(), 3);
+            }) {
+                assert_eq!((summary.frames, summary.events, summary.dropped), (1, 2, 3));
+                assert_eq!(
+                    text,
+                    "{\"frame_start\":0}\n{\"Abort\":{\"sample\":0}}\n\
+                     {\"Abort\":{\"sample\":1}}\n\
+                     {\"frame_end\":0,\"events\":2,\"dropped\":3}\n",
+                    "frame_end must report the drop count"
+                );
+            }
         }
-        sink.end_frame();
-        assert_eq!(sink.events_recorded(), 2);
-        assert_eq!(sink.events_dropped(), 3);
-        let summary = sink.finish().unwrap();
-        assert_eq!(summary.events, 2);
-        assert_eq!(summary.dropped, 3);
-        let text = std::fs::read_to_string(&path).unwrap();
-        assert!(
-            text.lines().last().unwrap().contains("\"dropped\":3"),
-            "frame_end must report the drop count: {text}"
-        );
-        std::fs::remove_file(&path).ok();
     }
 
     #[test]
     fn jsonl_sink_auto_opens_frames_for_unbracketed_records() {
-        let path = temp_path("auto");
-        let mut sink = JsonlFileSink::create(&path).unwrap();
-        sink.record(TraceEvent::Abort { sample: 1 });
-        sink.end_frame();
-        sink.record(TraceEvent::Abort { sample: 2 });
-        let summary = sink.finish().unwrap();
-        assert_eq!(summary.frames, 2);
-        let text = std::fs::read_to_string(&path).unwrap();
-        assert!(text.contains("{\"frame_start\":0}"));
-        assert!(text.contains("{\"frame_start\":1}"));
-        std::fs::remove_file(&path).ok();
+        for (text, summary) in through_both("auto", DEFAULT_TRACE_CAPACITY, |sink| {
+            sink.record(TraceEvent::Abort { sample: 1 });
+            sink.end_frame();
+            sink.record(TraceEvent::Abort { sample: 2 });
+        }) {
+            assert_eq!(summary.frames, 2);
+            assert!(text.contains("{\"frame_start\":0}"));
+            assert!(text.contains("{\"frame_start\":1}"));
+        }
     }
 
     #[test]
@@ -1312,6 +1151,25 @@ mod tests {
 
     #[test]
     fn jsonl_sink_failure_counts_subsequent_events_as_dropped() {
+        // After a failed frame the sink is inert: the lost frame is
+        // recounted as dropped and every later event is dropped too.
+        let assert_inert = |mut sink: JsonlFileSink<'_>| {
+            assert_eq!(sink.events_recorded(), 0, "lost frame recounted as dropped");
+            assert_eq!(sink.events_dropped(), 1);
+            sink.begin_frame(1);
+            sink.record(TraceEvent::Abort { sample: 1 });
+            assert_eq!(sink.events_dropped(), 2, "inert sink keeps counting drops");
+            assert!(sink.finish().is_err());
+        };
+
+        // A callback that refuses every frame fails the sink at once.
+        let mut sink = JsonlFileSink::from_fn(|_, _| Err(std::io::Error::other("receiver gone")));
+        sink.begin_frame(0);
+        sink.record(TraceEvent::Abort { sample: 0 });
+        sink.end_frame();
+        assert_eq!(sink.io_error().as_deref(), Some("receiver gone"));
+        assert_inert(sink);
+
         let dir = std::env::temp_dir().join(format!(
             "fdb_trace_dir_{}_failure",
             std::process::id()
@@ -1321,92 +1179,38 @@ mod tests {
         let mut sink = JsonlFileSink::create(&path).unwrap();
         sink.begin_frame(0);
         sink.record(TraceEvent::Abort { sample: 0 });
-        // Remove the file's directory under the open writer.
+        // Remove the file's directory under the open file.
         std::fs::remove_dir_all(&dir).unwrap();
-        sink.end_frame(); // write fails: file's directory is gone on flush…
-        // Depending on the platform the flush may still succeed (the fd
+        sink.end_frame();
+        // Depending on the platform the write may still succeed (the fd
         // stays valid); the contract we can assert portably is that a
         // sink with an error drops instead of panicking.
         if sink.io_error().is_some() {
-            sink.record(TraceEvent::Abort { sample: 1 });
-            assert_eq!(sink.events_recorded(), 0);
-            assert!(sink.events_dropped() >= 1);
-            assert!(sink.finish().is_err());
+            assert_inert(sink);
         } else {
             sink.finish().ok();
         }
     }
 
     #[test]
-    fn channel_sink_matches_jsonl_file_bytes() {
-        // The tentpole contract: the same event stream through a
-        // ChannelSink and a JsonlFileSink (same frame cap) produces
-        // byte-identical output, including the cap-overflow frame.
-        let path = temp_path("channel_match");
-        let mut file_sink = JsonlFileSink::create(&path).unwrap().with_frame_cap(3);
-        let (tx, rx) = std::sync::mpsc::channel();
-        let mut chan_sink = ChannelSink::new(tx).with_frame_cap(3);
-
+    fn callback_destination_matches_file_bytes_and_counters() {
+        // The same event stream through a file and a callback (same frame
+        // cap) gives byte-identical text and equal counters, including
+        // the cap-overflow frame.
         let events = one_of_each();
-        for (f, chunk) in events.chunks(5).enumerate() {
-            file_sink.begin_frame(f as u64);
-            chan_sink.begin_frame(f as u64);
-            for ev in chunk {
-                file_sink.record(ev.clone());
-                chan_sink.record(ev.clone());
+        let [(written, file), (streamed, callback)] = through_both("callback_match", 3, |sink| {
+            for (f, chunk) in events.chunks(5).enumerate() {
+                sink.begin_frame(f as u64);
+                for ev in chunk {
+                    sink.record(ev.clone());
+                }
+                sink.end_frame();
             }
-            file_sink.end_frame();
-            chan_sink.end_frame();
-        }
-        assert_eq!(chan_sink.events_recorded(), file_sink.events_recorded());
-        assert_eq!(chan_sink.events_dropped(), file_sink.events_dropped());
-        let file_summary = file_sink.finish().unwrap();
-        let chan_summary = chan_sink.finish().unwrap();
-        assert_eq!(chan_summary.frames, file_summary.frames);
-
-        let mut streamed = String::new();
-        let mut frames = Vec::new();
-        while let Ok(chunk) = rx.try_recv() {
-            frames.push(chunk.frame);
-            streamed.push_str(&chunk.text);
-        }
-        let written = std::fs::read_to_string(&path).unwrap();
+        });
         assert_eq!(streamed, written, "streamed bytes differ from file bytes");
-        assert_eq!(frames, (0..file_summary.frames).collect::<Vec<_>>());
-        std::fs::remove_file(&path).ok();
-    }
-
-    #[test]
-    fn channel_sink_auto_frames_and_caps() {
-        let (tx, rx) = std::sync::mpsc::channel();
-        let mut sink = ChannelSink::new(tx).with_frame_cap(2);
-        for i in 0..5 {
-            sink.record(TraceEvent::Abort { sample: i });
-        }
-        sink.end_frame();
-        assert_eq!(sink.events_recorded(), 2);
-        assert_eq!(sink.events_dropped(), 3);
-        assert_eq!(sink.frames(), 1);
-        let chunk = rx.try_recv().unwrap();
-        assert_eq!(chunk.frame, 0);
-        assert!(chunk.text.starts_with("{\"frame_start\":0}\n"));
-        assert!(chunk.text.ends_with("{\"frame_end\":0,\"events\":2,\"dropped\":3}\n"));
-    }
-
-    #[test]
-    fn channel_sink_disconnect_goes_inert() {
-        let (tx, rx) = std::sync::mpsc::channel();
-        drop(rx);
-        let mut sink = ChannelSink::new(tx);
-        sink.begin_frame(0);
-        sink.record(TraceEvent::Abort { sample: 0 });
-        sink.end_frame();
-        assert!(sink.io_error().is_some(), "send to dropped receiver fails");
-        assert_eq!(sink.events_recorded(), 0, "lost frame recounted as dropped");
-        assert_eq!(sink.events_dropped(), 1);
-        sink.record(TraceEvent::Abort { sample: 1 });
-        assert_eq!(sink.events_dropped(), 2, "inert sink keeps counting drops");
-        assert!(sink.finish().is_err());
+        assert_eq!(callback, file);
+        assert_eq!((file.frames, file.events, file.dropped), (4, 11, 6));
+        assert_eq!(file.bytes, written.len() as u64);
     }
 
     #[test]
@@ -1475,12 +1279,11 @@ mod tests {
     }
 
     #[test]
-    fn stager_recycles_frame_block_storage() {
-        // After the first frame's block is written and recycled, staging
-        // identical frames never grows the staging buffer again.
-        let path = temp_path("recycle");
-        let mut sink = JsonlFileSink::create(&path).unwrap();
-        let frame = |sink: &mut JsonlFileSink, f: u64| {
+    fn jsonl_sink_reuses_frame_storage() {
+        // After the first frame is written, staging identical frames
+        // never grows the staging buffer again.
+        let mut sink = JsonlFileSink::from_fn(|_, _| Ok(()));
+        let frame = |sink: &mut JsonlFileSink<'_>, f: u64| {
             sink.begin_frame(f);
             for i in 0..32 {
                 sink.record(TraceEvent::RxChip {
@@ -1492,17 +1295,16 @@ mod tests {
             sink.end_frame();
         };
         frame(&mut sink, 0);
-        let cap_after_warmup = sink.stager.staged.capacity().max(sink.stager.spare.capacity());
+        let cap_after_warmup = sink.staged.capacity();
         for f in 1..50 {
             frame(&mut sink, f);
         }
-        let cap_final = sink.stager.staged.capacity().max(sink.stager.spare.capacity());
         assert_eq!(
-            cap_final, cap_after_warmup,
-            "steady-state frames must reuse the recycled block storage"
+            sink.staged.capacity(),
+            cap_after_warmup,
+            "steady-state frames must reuse the staging buffer"
         );
         sink.finish().unwrap();
-        std::fs::remove_file(&path).ok();
     }
 
     #[test]
@@ -1514,8 +1316,8 @@ mod tests {
         let path = temp_path("reserve");
         let mut jsonl = JsonlFileSink::create(&path).unwrap();
         jsonl.reserve(100);
-        let reserved = jsonl.stager.staged.capacity();
-        assert!(reserved >= 100 * 48, "stager reserved {reserved}");
+        let reserved = jsonl.staged.capacity();
+        assert!(reserved >= 100 * 48, "jsonl sink reserved {reserved}");
         jsonl.begin_frame(0);
         jsonl.record(TraceEvent::Abort { sample: 0 });
         jsonl.end_frame();
@@ -1533,6 +1335,86 @@ mod tests {
         assert_eq!(
             parse_trace_line("{\"frame_end\":3,\"events\":10,\"dropped\":1}"),
             Ok(TraceLine::FrameEnd { frame: 3, events: 10, dropped: 1 })
+        );
+    }
+
+    #[test]
+    fn check_trace_stream_enforces_framing() {
+        let start = |f: u64| format!("{{\"frame_start\":{f}}}");
+        let end = |f: u64, n: u64| format!("{{\"frame_end\":{f},\"events\":{n},\"dropped\":0}}");
+        let ev = "{\"Abort\":{\"sample\":1}}".to_string();
+        let good = [
+            start(0),
+            ev.clone(),
+            ev.clone(),
+            end(0, 2),
+            start(1),
+            end(1, 0),
+        ]
+        .join("\n");
+        assert_eq!(
+            check_trace_stream(&good),
+            Ok(TraceStreamCounts {
+                frames: 2,
+                events: 2
+            })
+        );
+        assert_eq!(
+            check_trace_stream(""),
+            Ok(TraceStreamCounts {
+                frames: 0,
+                events: 0
+            })
+        );
+
+        let broken = [
+            (
+                "missing frame_end",
+                vec![start(0), ev.clone()],
+                "line 2: frame 0 has no frame_end",
+            ),
+            (
+                "nested frame_start",
+                vec![start(0), start(1), end(1, 0), end(0, 0)],
+                "line 2: frame_start 1 inside open frame 0",
+            ),
+            (
+                "event outside a frame",
+                vec![ev.clone()],
+                "line 1: event outside any frame",
+            ),
+            (
+                "event between frames",
+                vec![start(0), end(0, 0), ev.clone(), start(1), end(1, 0)],
+                "line 3: event outside any frame",
+            ),
+            (
+                "frame_end count differs",
+                vec![start(0), ev.clone(), end(0, 2)],
+                "line 3: frame_end 0 counts 2 events, 1 lines precede it",
+            ),
+            (
+                "frame_end of another frame",
+                vec![start(0), end(1, 0)],
+                "line 2: frame_end 1 closes open frame 0",
+            ),
+            (
+                "frame_end alone",
+                vec![end(0, 0)],
+                "line 1: frame_end 0 with no open frame",
+            ),
+        ];
+        for (case, lines, want) in broken {
+            assert_eq!(
+                check_trace_stream(&lines.join("\n")),
+                Err(want.to_string()),
+                "{case}"
+            );
+        }
+        let garbage = check_trace_stream(&[start(0), "not json".into()].join("\n")).unwrap_err();
+        assert!(
+            garbage.starts_with("line 2: not a trace event"),
+            "{garbage}"
         );
     }
 }

@@ -12,7 +12,11 @@
 //! ([`JobEvents`]) rather than a return value, because a job emits a
 //! *stream* — progress ticks, trace chunks, then exactly one terminal
 //! event ([`JobEvent::Done`] / [`Failed`](JobEvent::Failed) /
-//! [`Cancelled`](JobEvent::Cancelled)).
+//! [`Cancelled`](JobEvent::Cancelled)). Every event of a running job is
+//! emitted on the worker thread that runs it. A trace-streaming link job
+//! hands its [`JsonlFileSink`] a callback that emits each finished
+//! frame's block as [`JobEvent::Trace`], so frame `k`'s trace goes out
+//! just before its progress tick, paced by the same client socket.
 //!
 //! Cache interplay lives here so every transport gets it for free:
 //! untraced submissions are answered from the
@@ -21,14 +25,16 @@
 //! [`submit`](WorkerPool::submit), no queueing), and computed results are
 //! inserted on completion. Trace-streaming submissions bypass the cache
 //! in both directions: their metrics carry sink counters, which must not
-//! leak into replies to untraced submissions of the same job.
+//! leak into replies to untraced submissions of the same job. Only link
+//! jobs have a per-frame trace, so a trace-streaming submission of any
+//! other kind is refused as invalid.
 
 use std::collections::VecDeque;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
 use std::time::{Duration, Instant};
 
-use fdb_core::trace::TraceChunk;
+use fdb_core::trace::JsonlFileSink;
 use fdb_sim::{JobProgress, JobSpec, RunControl};
 
 use crate::cache::ResultStore;
@@ -38,8 +44,14 @@ use crate::cache::ResultStore;
 pub enum JobEvent {
     /// Progress tick (frames / grid cells completed).
     Progress(JobProgress),
-    /// One streamed trace chunk (tracing builds, link jobs only).
-    Trace(TraceChunk),
+    /// One frame's trace (trace-streaming link jobs, tracing builds).
+    Trace {
+        /// Driver-assigned frame index.
+        frame: u64,
+        /// The frame's JSONL block: exactly the bytes a
+        /// [`JsonlFileSink`] file gets for it.
+        text: String,
+    },
     /// Terminal: the job produced a result.
     Done {
         /// Canonical result JSON (replayed bytes when `cached`).
@@ -59,8 +71,9 @@ pub enum JobEvent {
     },
 }
 
-/// The per-job event callback. Shared with the trace forwarder thread,
-/// hence `Arc` + `Sync`.
+/// The per-job event callback, called on the submitting thread (cache
+/// hit) or on the worker that runs the job. `Arc` + `Sync` so one
+/// callback can serve several submissions.
 pub type JobEvents = Arc<dyn Fn(JobEvent) + Send + Sync>;
 
 /// Why a submission was refused.
@@ -187,6 +200,12 @@ impl WorkerPool {
         if stream_trace && !fdb_core::trace::ENABLED {
             return Err(SubmitError::TraceUnavailable);
         }
+        if stream_trace && !matches!(job, JobSpec::Link { .. }) {
+            return Err(SubmitError::Invalid(format!(
+                "trace streaming needs a link job; {} jobs have no per-frame trace",
+                job.kind()
+            )));
+        }
         job.validate().map_err(SubmitError::Invalid)?;
         let hash = job.content_hash();
         let handle = SubmitHandle {
@@ -291,12 +310,29 @@ fn execute(shared: &PoolShared, job: Queued) {
             false
         }
     };
-    let progress_events = Arc::clone(&events);
-    let mut progress = move |p: JobProgress| {
-        progress_events(JobEvent::Progress(p));
-    };
-
-    let outcome = run_with_optional_trace(&spec, stream_trace, &cancel_pred, &mut progress, &events);
+    let mut progress = |p: JobProgress| events(JobEvent::Progress(p));
+    let ctrl = RunControl::new()
+        .with_cancel(&cancel_pred)
+        .with_progress(&mut progress);
+    let outcome = match &spec {
+        // `submit` admits trace streaming for link jobs only. The frame
+        // cap matches the one a spec-built file sink uses for this job,
+        // so the streamed blocks equal the file a direct traced run
+        // writes, even for configs with a custom cap.
+        JobSpec::Link { link, .. } if stream_trace => {
+            let mut sink = JsonlFileSink::from_fn(|frame, text| {
+                events(JobEvent::Trace {
+                    frame,
+                    text: text.to_string(),
+                });
+                Ok(())
+            })
+            .with_frame_cap(link.phy.trace_ring_capacity());
+            spec.run(ctrl.with_sink(&mut sink))
+        }
+        _ => spec.run(ctrl),
+    }
+    .map(|r| r.canonical_json());
 
     match outcome {
         Ok(result_json) => {
@@ -325,44 +361,6 @@ fn execute(shared: &PoolShared, job: Queued) {
             error: e.to_string(),
         }),
     }
-}
-
-/// Runs the job, attaching a [`ChannelSink`](fdb_core::trace::ChannelSink)
-/// plus a forwarder thread when trace streaming was requested (the
-/// forwarder relays each staged frame to `events` as it completes, so
-/// clients see trace text *live*, not after the run).
-fn run_with_optional_trace(
-    spec: &JobSpec,
-    stream_trace: bool,
-    cancel_pred: &dyn Fn() -> bool,
-    progress: &mut dyn FnMut(JobProgress),
-    events: &JobEvents,
-) -> Result<String, fdb_core::PhyError> {
-    let ctrl = RunControl::new()
-        .with_cancel(cancel_pred)
-        .with_progress(progress);
-    if !stream_trace {
-        let _ = events; // only the traced path forwards through `events`
-        return spec.run(ctrl).map(|r| r.canonical_json());
-    }
-    let (tx, rx) = std::sync::mpsc::channel::<TraceChunk>();
-    let forward_events = Arc::clone(events);
-    let forwarder = std::thread::spawn(move || {
-        for chunk in rx {
-            forward_events(JobEvent::Trace(chunk));
-        }
-    });
-    // Match the frame cap a spec-built JsonlFileSink would use for this
-    // job, so streamed chunks stay byte-identical to the file a direct
-    // traced run writes even for configs with a custom cap.
-    let mut sink = fdb_core::trace::ChannelSink::new(tx);
-    if let JobSpec::Link { link, .. } = spec {
-        sink = sink.with_frame_cap(link.phy.trace_ring_capacity());
-    }
-    let outcome = spec.run(ctrl.with_sink(&mut sink)).map(|r| r.canonical_json());
-    drop(sink); // hang up so the forwarder drains and exits
-    let _ = forwarder.join();
-    outcome
 }
 
 #[cfg(test)]
@@ -406,7 +404,7 @@ mod tests {
     fn wait_terminal(rx: &mpsc::Receiver<JobEvent>) -> JobEvent {
         for ev in rx.iter() {
             match ev {
-                JobEvent::Progress(_) | JobEvent::Trace(_) => continue,
+                JobEvent::Progress(_) | JobEvent::Trace { .. } => continue,
                 terminal => return terminal,
             }
         }
@@ -506,7 +504,7 @@ mod tests {
         let mut terminals = 0;
         for ev in rx.iter() {
             match ev {
-                JobEvent::Progress(_) | JobEvent::Trace(_) => continue,
+                JobEvent::Progress(_) | JobEvent::Trace { .. } => continue,
                 _ => {
                     terminals += 1;
                     if terminals == 2 {
@@ -537,6 +535,97 @@ mod tests {
     }
 
     #[test]
+    fn stream_trace_is_refused_for_jobs_that_are_not_link_jobs() {
+        let pool = WorkerPool::new(1, 4, store("trace-kind"));
+        let (events, rx) = collector();
+        let matrix = JobSpec::Matrix {
+            scenarios: vec![fdb_sim::MatrixScenario {
+                label: "default".to_string(),
+                link: LinkConfig::default_fd(),
+                spec: MeasureSpec::default(),
+            }],
+            plans: Vec::new(),
+            plan_seed: 0,
+        };
+        let city = JobSpec::City {
+            spec: fdb_sim::CityScenarioSpec::default(),
+        };
+        for job in [matrix, city] {
+            let kind = job.kind();
+            let refused = pool.submit(job, true, None, Arc::clone(&events)).err();
+            if fdb_core::trace::ENABLED {
+                assert!(
+                    matches!(&refused, Some(SubmitError::Invalid(why)) if why.contains("link job")),
+                    "{kind}: {refused:?}"
+                );
+            } else {
+                // A build that cannot trace says so first.
+                assert_eq!(refused, Some(SubmitError::TraceUnavailable), "{kind}");
+            }
+        }
+        assert!(rx.try_recv().is_err(), "a refused job emits no events");
+        assert_eq!(pool.queued(), 0);
+        assert!(pool.store().is_empty());
+        pool.shutdown();
+    }
+
+    #[test]
+    fn trace_streams_inline_between_frame_end_and_progress() {
+        // Each frame's trace goes out on the worker thread, right before
+        // the frame's progress tick.
+        let pool = WorkerPool::new(1, 4, store("inline"));
+        let (tx, rx) = mpsc::channel();
+        let tx = Mutex::new(tx);
+        let events: JobEvents = Arc::new(move |ev: JobEvent| {
+            let label = match ev {
+                JobEvent::Trace { frame, .. } => format!("trace {frame}"),
+                JobEvent::Progress(p) => format!("progress {}", p.done),
+                JobEvent::Done { .. } => "done".to_string(),
+                other => format!("{other:?}"),
+            };
+            let _ = tx
+                .lock()
+                .expect("event tx lock")
+                .send((std::thread::current().id(), label));
+        });
+        let submitted = pool.submit(job(3, 7), true, None, events);
+        if !fdb_core::trace::ENABLED {
+            assert!(matches!(submitted, Err(SubmitError::TraceUnavailable)));
+            pool.shutdown();
+            return;
+        }
+        submitted.unwrap();
+        let mut seen = Vec::new();
+        for (thread, label) in rx.iter() {
+            let done = label == "done";
+            seen.push((thread, label));
+            if done {
+                break;
+            }
+        }
+        let labels: Vec<&str> = seen.iter().map(|(_, l)| l.as_str()).collect();
+        assert_eq!(
+            labels,
+            [
+                "trace 0",
+                "progress 1",
+                "trace 1",
+                "progress 2",
+                "trace 2",
+                "progress 3",
+                "done"
+            ]
+        );
+        let worker = seen[0].0;
+        assert_ne!(worker, std::thread::current().id());
+        assert!(
+            seen.iter().all(|(thread, _)| *thread == worker),
+            "every event of the run comes from its worker thread: {seen:?}"
+        );
+        pool.shutdown();
+    }
+
+    #[test]
     fn streamed_trace_matches_file_sink_bytes() {
         use fdb_core::trace::JsonlFileSink;
 
@@ -556,7 +645,7 @@ mod tests {
         let mut done_json = None;
         for ev in rx.iter() {
             match ev {
-                JobEvent::Trace(chunk) => streamed.push_str(&chunk.text),
+                JobEvent::Trace { text, .. } => streamed.push_str(&text),
                 JobEvent::Done { result_json, cached } => {
                     assert!(!cached, "traced submissions must bypass the cache");
                     done_json = Some(result_json);

@@ -3,9 +3,10 @@
 //! Every request and every response is one [`serde_json`] document on one
 //! line (`\n`-terminated, no intra-document newlines — embedded trace text
 //! rides inside JSON strings where the newlines are escaped). The framing
-//! is symmetric and transport-agnostic: the Unix-socket server, the
-//! in-process [`Service`](crate::service::Service) handle and the `probe
-//! submit` client all speak exactly this.
+//! is symmetric and transport-agnostic:
+//! [`Service::handle`](crate::service::Service::handle) maps requests to
+//! responses, and the Unix-socket server and the `probe submit` client
+//! speak exactly this.
 //!
 //! A submission produces a response *stream*, not a single reply:
 //!
@@ -44,8 +45,9 @@ pub enum Request {
     Submit {
         /// The job to run; its content hash is the cache key.
         job: JobSpec,
-        /// Stream per-frame trace chunks as [`Response::Trace`] lines
-        /// (link jobs, `fdb-core/trace` builds only). Traced submissions bypass
+        /// Stream per-frame trace blocks as [`Response::Trace`] lines
+        /// (link jobs, `fdb-core/trace` builds only; any other job kind
+        /// is rejected as invalid). Traced submissions bypass
         /// the result cache: their metrics carry sink counters, which
         /// would poison replies to untraced submissions of the same job.
         #[serde(default)]
@@ -86,8 +88,9 @@ pub enum Response {
         /// Job kind label (`link` / `matrix` / `scenario` / `ablation`).
         kind: String,
     },
-    /// The submission was refused (invalid spec, full queue, trace
-    /// streaming without `fdb-core/trace`, shutdown in progress).
+    /// The submission was refused (invalid spec, trace streaming of a
+    /// job that is not a link job, full queue, trace streaming without
+    /// `fdb-core/trace`, shutdown in progress).
     Rejected {
         /// Human-readable refusal reason.
         reason: String,
@@ -101,10 +104,12 @@ pub enum Response {
         /// Total units in the job.
         total: u64,
     },
-    /// One streamed trace chunk: the exact JSONL text a
-    /// [`JsonlFileSink`](fdb_core::trace::JsonlFileSink) would have
-    /// written for this frame. Concatenating `text` over all chunks
-    /// reproduces the sink's file byte-for-byte.
+    /// One frame's trace, sent by the job's worker as the frame ends:
+    /// the exact JSONL block a
+    /// [`JsonlFileSink`](fdb_core::trace::JsonlFileSink) writes to its
+    /// file for this frame (the service streams through that sink with a
+    /// callback destination). Concatenating `text` over a job's `Trace`
+    /// lines reproduces the sink's file byte for byte.
     Trace {
         /// Job id.
         id: u64,

@@ -2,14 +2,12 @@
 //!
 //! [`Service`] owns the [`WorkerPool`] and [`ResultStore`] and exposes
 //! one dispatch entry point, [`Service::handle`], that maps a
-//! [`Request`] to its [`Response`] stream. Two transports wrap it:
-//!
-//! * **In-process** — [`Service::submit_blocking`] for tests and embedding:
-//!   submit, block until the terminal response, collect everything.
-//! * **Unix socket** — [`serve_unix`]: line-delimited JSON over
-//!   `UnixListener`, one thread per connection, responses interleaved
-//!   onto the connection under a write lock so event lines from worker
-//!   threads never tear.
+//! [`Request`] to its [`Response`] stream, handing each response to the
+//! caller's `emit` callback. The transport is [`serve_unix`]:
+//! line-delimited JSON over `UnixListener`, one thread per connection,
+//! responses written onto the connection under a write lock so lines
+//! from worker threads never tear. A running job's progress ticks, trace
+//! blocks and terminal line are all written by the worker that runs it.
 //!
 //! A [`Request::Shutdown`] from any connection stops the accept loop,
 //! drains the pool, and removes the socket file.
@@ -20,7 +18,6 @@ use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::Duration;
 
-use fdb_core::trace::TraceChunk;
 use fdb_sim::JobSpec;
 
 use crate::cache::ResultStore;
@@ -62,39 +59,6 @@ pub struct Service {
     /// reached a terminal event, keyed by job id.
     live: Arc<Mutex<HashMap<u64, Arc<std::sync::atomic::AtomicBool>>>>,
     stopping: AtomicBool,
-}
-
-/// Everything a blocking in-process submission collected.
-#[derive(Debug, Clone)]
-pub struct SubmitOutcome {
-    /// Pool-assigned job id.
-    pub id: u64,
-    /// The job's content address (32 hex digits).
-    pub job_hash: String,
-    /// The terminal response ([`Response::Done`] / [`Failed`](Response::Failed) /
-    /// [`Cancelled`](Response::Cancelled)).
-    pub terminal: Response,
-    /// Progress ticks observed, in order.
-    pub progress: Vec<(u64, u64)>,
-    /// Trace chunks observed, in order (trace-streaming submissions).
-    pub trace: Vec<TraceChunk>,
-}
-
-impl SubmitOutcome {
-    /// The canonical result bytes, when the job finished with `Done`.
-    pub fn result_json(&self) -> Option<String> {
-        match &self.terminal {
-            Response::Done { result, .. } => {
-                Some(serde_json::to_string(result).expect("result re-serializes"))
-            }
-            _ => None,
-        }
-    }
-
-    /// Whether the terminal `Done` was replayed from the cache.
-    pub fn cached(&self) -> bool {
-        matches!(&self.terminal, Response::Done { cached: true, .. })
-    }
 }
 
 impl Service {
@@ -225,61 +189,6 @@ impl Service {
             }),
         }
     }
-
-    /// In-process client: submits and blocks until the terminal response,
-    /// returning everything observed. `Err` carries the rejection reason.
-    pub fn submit_blocking(
-        &self,
-        job: JobSpec,
-        stream_trace: bool,
-        timeout_ms: u64,
-    ) -> Result<SubmitOutcome, String> {
-        let (tx, rx) = std::sync::mpsc::channel::<Response>();
-        let tx = Mutex::new(tx);
-        let emit = Arc::new(move |resp: Response| {
-            let _ = tx.lock().expect("response tx lock").send(resp);
-        });
-        self.handle(
-            Request::Submit {
-                job,
-                stream_trace,
-                timeout_ms,
-            },
-            emit,
-        );
-        let mut id = 0;
-        let mut job_hash = String::new();
-        let mut progress = Vec::new();
-        let mut trace = Vec::new();
-        for resp in rx.iter() {
-            match resp {
-                Response::Accepted {
-                    id: got,
-                    job_hash: hash,
-                    ..
-                } => {
-                    id = got;
-                    job_hash = hash;
-                }
-                Response::Rejected { reason } => return Err(reason),
-                Response::Progress { done, total, .. } => progress.push((done, total)),
-                Response::Trace { frame, text, .. } => trace.push(TraceChunk { frame, text }),
-                terminal @ (Response::Done { .. }
-                | Response::Failed { .. }
-                | Response::Cancelled { .. }) => {
-                    return Ok(SubmitOutcome {
-                        id,
-                        job_hash,
-                        terminal,
-                        progress,
-                        trace,
-                    })
-                }
-                other => return Err(format!("unexpected response {other:?}")),
-            }
-        }
-        Err("response stream ended without a terminal response".to_string())
-    }
 }
 
 struct GateState {
@@ -340,11 +249,7 @@ fn event_response(id: u64, job_hash: &str, ev: JobEvent) -> Response {
             done: p.done,
             total: p.total,
         },
-        JobEvent::Trace(chunk) => Response::Trace {
-            id,
-            frame: chunk.frame,
-            text: chunk.text,
-        },
+        JobEvent::Trace { frame, text } => Response::Trace { id, frame, text },
         JobEvent::Done {
             result_json,
             cached,

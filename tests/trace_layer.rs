@@ -140,17 +140,23 @@ fn observer_captures_first_failing_frame_trace() {
     assert!(events > 0, "the failing frame's trace is empty");
 }
 
-/// The JSONL trace stream of one seeded frame: the bytes a `ChannelSink`
-/// (byte-identical to `JsonlFileSink`) emits for it.
+/// The JSONL trace stream of one seeded frame: the bytes the JSONL sink
+/// hands its destination for it (here a callback collecting them; a file
+/// destination gets the same bytes).
 fn trace_stream(cfg: &LinkConfig, spec: &MeasureSpec) -> Option<String> {
-    use fd_backscatter::phy::trace::ChannelSink;
-    let (tx, rx) = std::sync::mpsc::channel();
-    let mut sink = ChannelSink::new(tx).with_frame_cap(cfg.phy.trace_ring_capacity());
+    use fd_backscatter::phy::trace::JsonlFileSink;
+    let mut text = String::new();
+    let mut sink = JsonlFileSink::from_fn(|_, block| {
+        text.push_str(block);
+        Ok(())
+    })
+    .with_frame_cap(cfg.phy.trace_ring_capacity());
     let res = run_link(cfg, spec, LinkRun::new().with_sink(&mut sink));
     let metrics = traced_or_refused(res)?;
-    drop(sink);
-    assert_eq!(metrics.frames, 1);
-    Some(rx.try_iter().map(|chunk| chunk.text).collect())
+    let summary = sink.finish().expect("callback destination never fails");
+    assert_eq!((metrics.frames, summary.frames), (1, 1));
+    assert_eq!(summary.bytes, text.len() as u64);
+    Some(text)
 }
 
 #[test]
