@@ -115,6 +115,16 @@ pub fn frame_bits_len(cfg: &PhyConfig, len: usize) -> usize {
     bits
 }
 
+/// Post-pilot feedback bits that fit in one frame carrying `len` payload
+/// bytes: the preamble plus the framed payload, less the
+/// `feedback_guard_bits` epoch offset, at one feedback bit per
+/// `feedback_ratio` data bits, less the pilot bits.
+pub fn feedback_bits_in_frame(cfg: &PhyConfig, len: usize) -> usize {
+    let bits = cfg.preamble.len() + frame_bits_len(cfg, len);
+    let usable = bits.saturating_sub(cfg.feedback_guard_bits);
+    (usable / cfg.feedback_ratio).saturating_sub(crate::feedback::PILOTS.len())
+}
+
 /// Reusable working buffers for [`encode_frame_into`]: per-block byte
 /// staging, the Hamming-coded bit run, and its interleaved form. Owned by
 /// whoever encodes frames repeatedly (the transmitter's scratch arena) so

@@ -319,13 +319,6 @@ pub fn nominal_frame_samples(phy: &PhyConfig, payload_len: usize) -> u64 {
         * phy.samples_per_bit()) as u64
 }
 
-/// Post-pilot feedback bits that fit in a frame (mirrors the sim runner).
-fn feedback_bits_in_frame(phy: &PhyConfig, payload_len: usize) -> usize {
-    let bits = phy.preamble.len() + fdb_core::frame::frame_bits_len(phy, payload_len);
-    let usable = bits.saturating_sub(phy.feedback_guard_bits);
-    (usable / phy.feedback_ratio).saturating_sub(fdb_core::feedback::PILOTS.len())
-}
-
 /// Per-payload transfer state.
 #[derive(Clone, Copy, Default)]
 struct PayloadState {
@@ -489,7 +482,7 @@ where
         cfg.phy.samples_per_chip = sps;
         cfg.geometry.device_dist_m = distance;
         let nominal_samples = nominal_frame_samples(&cfg.phy, session.payload_len);
-        let fb_bits = feedback_bits_in_frame(&cfg.phy, session.payload_len);
+        let fb_bits = fdb_core::frame::feedback_bits_in_frame(&cfg.phy, session.payload_len);
 
         // FD backpressure: A observed busy feedback last slot → hold off
         // one slot (B drains through the silence), then probe again.

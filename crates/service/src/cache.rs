@@ -11,10 +11,10 @@
 //! * `job` is the full [`JobSpec`] the address was derived from, so the
 //!   store can recompute any entry from first principles (the
 //!   [`recheck`](ResultStore::recheck) integrity pass does exactly that).
-//! * `result` is the job's canonical result JSON. Lookups hand back a
-//!   re-serialization of these exact bytes: the workspace JSON writer
-//!   keeps object order and prints shortest-round-trip floats, so
-//!   parse → serialize is the identity on anything it wrote.
+//! * `result` is the job's canonical result JSON. Lookups hand back the
+//!   parsed value, which serializes to these exact bytes: the workspace
+//!   JSON writer keeps object order and prints shortest-round-trip
+//!   floats, so parse → serialize is the identity on anything it wrote.
 //!
 //! The store is seeded from the repo's golden corpus
 //! ([`seed_from_golden`](ResultStore::seed_from_golden)): the three
@@ -53,10 +53,10 @@ struct Envelope {
 }
 
 /// A hit returned by [`ResultStore::lookup`].
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct CachedResult {
-    /// The stored result, re-serialized to its canonical bytes.
-    pub result_json: String,
+    /// The stored result; it serializes to the canonical bytes stored.
+    pub result: Value,
     /// Provenance of the entry (`computed` or `golden:<name>`).
     pub origin: String,
 }
@@ -108,15 +108,14 @@ impl ResultStore {
         self.root.join(format!("{}.json", hash.to_hex()))
     }
 
-    /// Looks up a job's stored result, counting the hit or miss. Returns
-    /// the canonical result bytes; a corrupt entry reads as a miss.
+    /// Looks up a job's stored result, counting the hit or miss. A
+    /// corrupt entry reads as a miss.
     pub fn lookup(&self, hash: &ContentHash) -> Option<CachedResult> {
         match self.read_envelope(&self.entry_path(hash)) {
             Some(env) => {
                 self.hits.fetch_add(1, Ordering::Relaxed);
                 Some(CachedResult {
-                    result_json: serde_json::to_string(&env.result)
-                        .expect("stored value re-serializes"),
+                    result: env.result,
                     origin: env.origin,
                 })
             }
@@ -269,9 +268,10 @@ impl ResultStore {
                         ));
                     }
                 }
-                Err(e) => out
-                    .mismatched
-                    .push(format!("{} ({}): recompute failed: {e}", env.job_hash, env.origin)),
+                Err(e) => out.mismatched.push(format!(
+                    "{} ({}): recompute failed: {e}",
+                    env.job_hash, env.origin
+                )),
             }
         }
         out
@@ -310,10 +310,7 @@ mod tests {
     use fdb_sim::MeasureSpec;
 
     fn tmpdir(tag: &str) -> PathBuf {
-        let dir = std::env::temp_dir().join(format!(
-            "fdb-cache-{tag}-{}",
-            std::process::id()
-        ));
+        let dir = std::env::temp_dir().join(format!("fdb-cache-{tag}-{}", std::process::id()));
         let _ = std::fs::remove_dir_all(&dir);
         dir
     }
@@ -344,7 +341,11 @@ mod tests {
         assert!(store.lookup(&job.content_hash()).is_none());
         store.insert(&job, &result, "computed").unwrap();
         let hit = store.lookup(&job.content_hash()).expect("entry stored");
-        assert_eq!(hit.result_json, result, "replayed bytes drifted");
+        assert_eq!(
+            serde_json::to_string(&hit.result).unwrap(),
+            result,
+            "replayed bytes drifted"
+        );
         assert_eq!(hit.origin, "computed");
         assert_eq!(store.hits(), 1);
         assert_eq!(store.misses(), 1);
@@ -404,7 +405,10 @@ mod tests {
         let job = small_job(5);
         let good = job.run(RunControl::new()).unwrap().canonical_json();
         // Store a result that belongs to a different job.
-        let wrong = small_job(6).run(RunControl::new()).unwrap().canonical_json();
+        let wrong = small_job(6)
+            .run(RunControl::new())
+            .unwrap()
+            .canonical_json();
         assert_ne!(good, wrong, "seeds 5 and 6 should differ");
         store.insert(&job, &wrong, "computed").unwrap();
         let out = store.recheck(1);

@@ -10,16 +10,15 @@
 //!
 //! * [`protocol`] — the line-delimited JSON request/response surface,
 //!   symmetric across transports.
-//! * [`pool`] — persistent worker threads over one bounded queue, with
-//!   per-job cancellation flags and wall-clock timeouts folded into the
-//!   cooperative predicate [`fdb_sim::JobSpec::run`] polls.
 //! * [`cache`] — the content-addressed result store: one file per job
 //!   content hash, seeded from the repo's golden corpus, replaying
 //!   byte-identical result JSON on repeat submissions, with an integrity
 //!   `recheck` pass that recomputes entries from their stored specs.
-//! * [`service`] — the assembled service: protocol dispatch over the
-//!   pool, and the Unix-socket server/client pair (`probe serve` /
-//!   `probe submit`).
+//! * [`service`] — the [`Service`] type: persistent worker threads over
+//!   one bounded queue, per-job cancel flags and wall-clock timeouts
+//!   folded into the cooperative predicate [`fdb_sim::JobSpec::run`]
+//!   polls, the result store and protocol dispatch; plus the Unix-socket
+//!   server/client pair (`probe serve` / `probe submit`).
 //!
 //! The end-to-end contracts this crate owes the rest of the workspace:
 //! submitting the same job twice yields a recorded cache hit whose
@@ -33,12 +32,10 @@
 #![deny(unsafe_code)]
 
 pub mod cache;
-pub mod pool;
 pub mod protocol;
 pub mod service;
 
 pub use cache::{CachedResult, RecheckOutcome, ResultStore};
-pub use pool::{JobEvent, JobEvents, SubmitError, SubmitHandle, WorkerPool};
 pub use protocol::{Request, Response};
 #[cfg(unix)]
 pub use service::{serve_unix, Client};

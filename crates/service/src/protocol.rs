@@ -236,6 +236,8 @@ mod tests {
     use super::*;
     use fdb_core::link::LinkConfig;
     use fdb_sim::MeasureSpec;
+    use proptest::prelude::*;
+    use std::io::ErrorKind;
 
     fn link_job() -> JobSpec {
         JobSpec::Link {
@@ -312,5 +314,75 @@ mod tests {
         let err = read_request(&mut r).unwrap_err();
         assert_eq!(err.kind(), std::io::ErrorKind::InvalidInput);
         assert_eq!(r.len(), 1, "read past the cap");
+    }
+
+    /// Reads `bytes` as a socket peer's request stream to its end: every
+    /// line parses or fails with a typed error, and an over-cap line ends
+    /// the stream as it ends a connection.
+    fn read_all_requests(bytes: &[u8]) {
+        let mut r = bytes;
+        loop {
+            match read_request(&mut r) {
+                Ok(None) => return,
+                Ok(Some(_)) => continue,
+                Err(e) if e.kind() == ErrorKind::InvalidData => continue,
+                Err(e) if e.kind() == ErrorKind::InvalidInput => return,
+                Err(e) => panic!("untyped read error {e:?} on {bytes:?}"),
+            }
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(512))]
+        #[test]
+        fn arbitrary_bytes_read_as_requests_or_typed_errors(
+            raw in prop::collection::vec(any::<u8>(), 0..600),
+            // JSON punctuation, keywords and digits, so the parser gets
+            // past the first byte more often than on raw bytes.
+            tokens in prop::collection::vec(
+                prop::sample::select(vec![
+                    "{", "}", "[", "]", ":", ",", "\"", "\\", "\n", " ", "0", "-1e999",
+                    "1.5", "true", "null", "\"Ping\"", "\"Submit\"", "\"job\"",
+                    "\"Link\"", "\"Cancel\"", "\"id\"", "\u{fffd}", "\\u",
+                ]),
+                0..200,
+            ),
+            depth in 0usize..400,
+        ) {
+            read_all_requests(&raw);
+            read_all_requests(tokens.concat().as_bytes());
+            let nested = format!("{}{}\n", "[".repeat(depth), "]".repeat(depth));
+            read_all_requests(nested.as_bytes());
+        }
+    }
+
+    #[test]
+    fn every_prefix_of_a_submit_line_reads_or_fails_typed() {
+        let matrix = JobSpec::Matrix {
+            scenarios: vec![fdb_sim::MatrixScenario {
+                label: "default".to_string(),
+                link: LinkConfig::default_fd(),
+                spec: MeasureSpec::default(),
+            }],
+            plans: Vec::new(),
+            plan_seed: 0,
+        };
+        for job in [link_job(), matrix] {
+            let mut line = Vec::new();
+            let submit = Request::Submit {
+                job,
+                stream_trace: true,
+                timeout_ms: 5,
+            };
+            write_line(&mut line, &submit).unwrap();
+            for end in 0..=line.len() {
+                let prefix = &line[..end];
+                read_all_requests(prefix);
+                // The same prefix cut off by a newline.
+                read_all_requests(&[prefix, b"\n"].concat());
+            }
+            let whole = read_request(&mut &line[..]).unwrap();
+            assert!(matches!(whole, Some(Request::Submit { .. })));
+        }
     }
 }

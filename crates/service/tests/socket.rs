@@ -74,9 +74,8 @@ fn submit(client: &mut Client, job: JobSpec, stream_trace: bool) -> (String, Str
 fn socket_conversation_end_to_end() {
     let dir = scratch("e2e");
     let socket = dir.join("service.sock");
-    let service = Arc::new(
-        Service::start(ServiceConfig::new(dir.join("cache"))).expect("service starts"),
-    );
+    let service =
+        Arc::new(Service::start(ServiceConfig::new(dir.join("cache"))).expect("service starts"));
     let serve = {
         let service = Arc::clone(&service);
         let socket = socket.clone();
@@ -95,7 +94,10 @@ fn socket_conversation_end_to_end() {
     let (cold, _, cold_cached) = submit(&mut client, link_job(3, 11), false);
     assert!(!cold_cached, "cold cache must compute");
     let (warm, _, warm_cached) = submit(&mut client, link_job(3, 11), false);
-    assert!(warm_cached, "second submission must be a recorded cache hit");
+    assert!(
+        warm_cached,
+        "second submission must be a recorded cache hit"
+    );
     assert_eq!(
         cold, warm,
         "cached result must replay the computed one byte-for-byte"
@@ -165,9 +167,8 @@ fn socket_streamed_trace_matches_file_sink() {
 
     let dir = scratch("trace");
     let socket = dir.join("service.sock");
-    let service = Arc::new(
-        Service::start(ServiceConfig::new(dir.join("cache"))).expect("service starts"),
-    );
+    let service =
+        Arc::new(Service::start(ServiceConfig::new(dir.join("cache"))).expect("service starts"));
     let serve = {
         let service = Arc::clone(&service);
         let socket = socket.clone();
@@ -227,9 +228,8 @@ fn socket_streamed_trace_matches_file_sink() {
 fn invalid_submission_is_rejected_inline() {
     let dir = scratch("reject");
     let socket = dir.join("service.sock");
-    let service = Arc::new(
-        Service::start(ServiceConfig::new(dir.join("cache"))).expect("service starts"),
-    );
+    let service =
+        Arc::new(Service::start(ServiceConfig::new(dir.join("cache"))).expect("service starts"));
     let serve = {
         let service = Arc::clone(&service);
         let socket = socket.clone();
@@ -278,10 +278,24 @@ fn invalid_submission_is_rejected_inline() {
     // the service on allocation. Clients trace through `stream_trace`.
     let path = dir.join("forged.jsonl");
     let jsonl = TraceSinkSpec::jsonl(path.display().to_string());
-    for trace in [jsonl, TraceSinkSpec::Ring { capacity: Some(1 << 50) }] {
-        let JobSpec::Link { link, spec } = link_job(2, 1) else { unreachable!() };
-        let job = JobSpec::Link { link, spec: spec.with_trace(trace) };
-        let submit = Request::Submit { job, stream_trace: false, timeout_ms: 0 };
+    for trace in [
+        jsonl,
+        TraceSinkSpec::Ring {
+            capacity: Some(1 << 50),
+        },
+    ] {
+        let JobSpec::Link { link, spec } = link_job(2, 1) else {
+            unreachable!()
+        };
+        let job = JobSpec::Link {
+            link,
+            spec: spec.with_trace(trace),
+        };
+        let submit = Request::Submit {
+            job,
+            stream_trace: false,
+            timeout_ms: 0,
+        };
         client.send(&submit).unwrap();
         match client.recv().unwrap().unwrap() {
             Response::Rejected { reason } => assert!(reason.contains("spec.trace"), "{reason}"),
@@ -313,9 +327,8 @@ fn over_cap_request_line_is_rejected_and_service_stays_up() {
 
     let dir = scratch("cap");
     let socket = dir.join("service.sock");
-    let service = Arc::new(
-        Service::start(ServiceConfig::new(dir.join("cache"))).expect("service starts"),
-    );
+    let service =
+        Arc::new(Service::start(ServiceConfig::new(dir.join("cache"))).expect("service starts"));
     let serve = {
         let service = Arc::clone(&service);
         let socket = socket.clone();
@@ -338,10 +351,79 @@ fn over_cap_request_line_is_rejected_and_service_stays_up() {
     // The connection is closed after the refusal (EOF, or a reset for the
     // unread tail).
     line.clear();
-    assert!(matches!(reader.read_line(&mut line), Ok(0) | Err(_)), "got {line:?}");
+    assert!(
+        matches!(reader.read_line(&mut line), Ok(0) | Err(_)),
+        "got {line:?}"
+    );
 
     let mut client = connect_with_retry(&socket);
     let (_, _, cached) = submit(&mut client, link_job(2, 3), false);
+    assert!(!cached);
+
+    client.send(&Request::Shutdown).unwrap();
+    let _ = client.recv();
+    serve.join().expect("serve thread");
+    Arc::try_unwrap(service)
+        .unwrap_or_else(|_| panic!("service still shared"))
+        .shutdown();
+}
+
+/// A client that hangs up in the middle of a job's stream (a traced link
+/// job in trace builds, progress lines otherwise) does not take the
+/// service down: the job's worker finishes writing into the closed
+/// connection, a new connection's `Ping` is answered, the running count
+/// returns to 0, and new jobs still run.
+#[test]
+fn client_hangup_mid_stream_leaves_the_service_serving() {
+    let dir = scratch("hangup");
+    let socket = dir.join("service.sock");
+    let service =
+        Arc::new(Service::start(ServiceConfig::new(dir.join("cache"))).expect("service starts"));
+    let serve = {
+        let service = Arc::clone(&service);
+        let socket = socket.clone();
+        std::thread::spawn(move || serve_unix(service, &socket).expect("serve loop"))
+    };
+
+    let mut leaver = connect_with_retry(&socket);
+    leaver
+        .send(&Request::Submit {
+            job: link_job(24, 31),
+            stream_trace: fdb_core::trace::ENABLED,
+            timeout_ms: 0,
+        })
+        .unwrap();
+    match leaver.recv().unwrap().unwrap() {
+        Response::Accepted { .. } => {}
+        other => panic!("expected Accepted, got {other:?}"),
+    }
+    match leaver.recv().unwrap().unwrap() {
+        Response::Trace { .. } if fdb_core::trace::ENABLED => {}
+        Response::Progress { .. } if !fdb_core::trace::ENABLED => {}
+        other => panic!("expected the job's first streamed line, got {other:?}"),
+    }
+    drop(leaver);
+
+    let mut client = connect_with_retry(&socket);
+    let deadline = std::time::Instant::now() + std::time::Duration::from_secs(120);
+    loop {
+        client.send(&Request::Ping).unwrap();
+        match client.recv().unwrap().unwrap() {
+            Response::Pong {
+                running: 0,
+                queued: 0,
+                ..
+            } => break,
+            Response::Pong { .. } => {}
+            other => panic!("expected Pong, got {other:?}"),
+        }
+        assert!(
+            std::time::Instant::now() < deadline,
+            "the abandoned job never finished"
+        );
+        std::thread::sleep(std::time::Duration::from_millis(20));
+    }
+    let (_, _, cached) = submit(&mut client, link_job(2, 32), false);
     assert!(!cached);
 
     client.send(&Request::Shutdown).unwrap();

@@ -82,13 +82,6 @@ impl MeasureSpec {
     }
 }
 
-/// Number of post-pilot feedback bits that fit in a frame of `bits` data
-/// bits with ratio `m` and `guard` bits of epoch offset.
-fn feedback_bits_in_frame(bits: usize, m: usize, guard: usize) -> usize {
-    let usable = bits.saturating_sub(guard);
-    (usable / m).saturating_sub(fdb_core::feedback::PILOTS.len())
-}
-
 /// XOR salt separating the payload PRBS stream from the master seed.
 const PAYLOAD_SALT: u64 = 0xBAC0_5CA7;
 /// XOR salt separating the feedback-probe PRBS stream from the master seed.
@@ -274,13 +267,7 @@ fn run_link_inner(
     let mut fb_gen = Prbs::new(PrbsOrder::Prbs15, prbs_seed(spec.seed, FEEDBACK_SALT));
     let mut metrics = LinkMetrics::default();
 
-    let frame_bits = cfg.phy.preamble.len()
-        + fdb_core::frame::frame_bits_len(&cfg.phy, spec.payload_len);
-    let fb_bits_per_frame = feedback_bits_in_frame(
-        frame_bits,
-        cfg.phy.feedback_ratio,
-        cfg.phy.feedback_guard_bits,
-    );
+    let fb_bits_per_frame = fdb_core::frame::feedback_bits_in_frame(&cfg.phy, spec.payload_len);
 
     // One of everything, re-armed per frame: the run's steady state reuses
     // these buffers (and the link's own scratch arena) instead of
