@@ -16,6 +16,12 @@
 //! * The hash input is `"<domain>:<canonical json>"` — every address space
 //!   (jobs, cache envelopes) carries a versioned domain prefix so a format
 //!   bump changes every address instead of silently aliasing old entries.
+//! * The input is streamed: [`ContentHash::of_canonical`] feeds the
+//!   writer's output to both lanes as it is written
+//!   ([`serde::Serialize::write_json`]), so the hashed bytes are exactly
+//!   [`canonical_json`]'s, and no string of them is ever built. Hashing a
+//!   large value (a city report's per-tag ledgers) takes no memory that
+//!   grows with it.
 //! * The hash itself is two independently-keyed FNV-1a/splitmix64 lanes
 //!   concatenated to 128 bits, rendered as 32 lowercase hex digits.
 //!
@@ -33,19 +39,57 @@ const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
 /// FNV-1a 64-bit prime.
 const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
 
-/// FNV-1a 64-bit hash of `bytes` seeded from `basis`.
-fn fnv1a64_from(basis: u64, bytes: &[u8]) -> u64 {
-    let mut h = basis;
-    for &b in bytes {
-        h ^= b as u64;
-        h = h.wrapping_mul(FNV_PRIME);
-    }
-    h
+/// Offset basis of the second lane: the standard basis perturbed by a
+/// fixed salt, so the lanes are independent functions of the input.
+const FNV_OFFSET_HI: u64 = FNV_OFFSET ^ 0x9E37_79B9_7F4A_7C15;
+
+/// One FNV-1a step: fold byte `b` into state `h`.
+fn fnv1a_step(h: u64, b: u8) -> u64 {
+    (h ^ b as u64).wrapping_mul(FNV_PRIME)
 }
 
 /// Plain FNV-1a 64-bit hash (standard offset basis).
 pub fn fnv1a64(bytes: &[u8]) -> u64 {
-    fnv1a64_from(FNV_OFFSET, bytes)
+    bytes.iter().fold(FNV_OFFSET, |h, &b| fnv1a_step(h, b))
+}
+
+/// Both FNV-1a lanes of a [`ContentHash`], fed as text is written.
+struct Lanes {
+    lo: u64,
+    hi: u64,
+}
+
+impl Lanes {
+    fn new() -> Self {
+        Lanes {
+            lo: FNV_OFFSET,
+            hi: FNV_OFFSET_HI,
+        }
+    }
+
+    /// One FNV-1a step per byte on each lane, interleaved so the two
+    /// multiply chains overlap.
+    fn feed(&mut self, bytes: &[u8]) {
+        for &b in bytes {
+            self.lo = fnv1a_step(self.lo, b);
+            self.hi = fnv1a_step(self.hi, b);
+        }
+    }
+
+    /// Each lane through a splitmix64 finalizer, concatenated big-endian.
+    fn finish(self) -> ContentHash {
+        let mut out = [0u8; 16];
+        out[..8].copy_from_slice(&mix64(self.hi).to_be_bytes());
+        out[8..].copy_from_slice(&mix64(self.lo).to_be_bytes());
+        ContentHash(out)
+    }
+}
+
+impl fmt::Write for Lanes {
+    fn write_str(&mut self, s: &str) -> fmt::Result {
+        self.feed(s.as_bytes());
+        Ok(())
+    }
 }
 
 /// splitmix64 finalizer — the same mix [`crate::seed::derive_seed`] uses,
@@ -64,25 +108,25 @@ impl ContentHash {
     /// Hashes raw bytes: two FNV-1a lanes with distinct bases, each passed
     /// through a splitmix64 finalizer, concatenated big-endian.
     pub fn of_bytes(bytes: &[u8]) -> Self {
-        let lo = mix64(fnv1a64_from(FNV_OFFSET, bytes));
-        // Second lane: offset basis perturbed by a fixed salt so the lanes
-        // are independent functions of the input.
-        let hi = mix64(fnv1a64_from(FNV_OFFSET ^ 0x9E37_79B9_7F4A_7C15, bytes));
-        let mut out = [0u8; 16];
-        out[..8].copy_from_slice(&hi.to_be_bytes());
-        out[8..].copy_from_slice(&lo.to_be_bytes());
-        ContentHash(out)
+        let mut lanes = Lanes::new();
+        lanes.feed(bytes);
+        lanes.finish()
     }
 
     /// Hashes a serde value under a versioned domain prefix (see module
-    /// docs for the canonicalization rules).
+    /// docs for the canonicalization rules): [`of_bytes`] of
+    /// `"<domain>:<canonical json>"`, with the JSON streamed into the
+    /// lanes rather than built.
+    ///
+    /// [`of_bytes`]: ContentHash::of_bytes
     pub fn of_canonical<T: Serialize + ?Sized>(domain: &str, value: &T) -> Self {
-        let json = canonical_json(value);
-        let mut input = String::with_capacity(domain.len() + 1 + json.len());
-        input.push_str(domain);
-        input.push(':');
-        input.push_str(&json);
-        ContentHash::of_bytes(input.as_bytes())
+        let mut lanes = Lanes::new();
+        lanes.feed(domain.as_bytes());
+        lanes.feed(b":");
+        value
+            .write_json(&mut lanes)
+            .expect("hashing lanes accept every write");
+        lanes.finish()
     }
 
     /// Lowercase-hex rendering (32 digits) — the on-disk file stem the
@@ -167,6 +211,16 @@ mod tests {
         let hashes: std::collections::HashSet<_> =
             (0..10_000u64).map(|i| ContentHash::of_canonical("t", &i)).collect();
         assert_eq!(hashes.len(), 10_000);
+    }
+
+    #[test]
+    fn streamed_hash_equals_hash_of_the_canonical_bytes() {
+        let value = (vec![1.5f64, -0.0, f64::NAN], "tab\there", Some(u64::MAX));
+        let text = format!("dom:{}", canonical_json(&value));
+        assert_eq!(
+            ContentHash::of_canonical("dom", &value),
+            ContentHash::of_bytes(text.as_bytes())
+        );
     }
 
     #[test]

@@ -66,6 +66,7 @@ use crate::error::PhyError;
 use serde::{Deserialize, Serialize};
 use std::borrow::Cow;
 use std::collections::VecDeque;
+use std::fmt::Write as _;
 use std::fs::File;
 use std::io::Write;
 use std::path::Path;
@@ -587,8 +588,9 @@ impl<'a> JsonlFileSink<'a> {
         }
     }
 
-    fn stage_line(&mut self, line: &str) {
-        self.staged.push_str(line);
+    /// Appends one line, which `write` renders, to the staged frame.
+    fn stage_line(&mut self, write: impl FnOnce(&mut String) -> std::fmt::Result) {
+        write(&mut self.staged).expect("writing to a String cannot fail");
         self.staged.push('\n');
         self.peak_staged_bytes = self.peak_staged_bytes.max(self.staged.len());
     }
@@ -596,7 +598,7 @@ impl<'a> JsonlFileSink<'a> {
     /// Opens frame `frame` (no frame may be open).
     fn open(&mut self, frame: u64) {
         self.frame = Some(frame);
-        self.stage_line(&format!("{{\"frame_start\":{frame}}}"));
+        self.stage_line(|s| write!(s, "{{\"frame_start\":{frame}}}"));
     }
 }
 
@@ -628,21 +630,13 @@ impl TraceSink for JsonlFileSink<'_> {
         if self.frame.is_none() {
             self.open(self.next_auto_frame);
         }
-        let line = if self.staged_events < self.frame_cap as u64 {
-            serde_json::to_string(&event).ok()
+        if self.staged_events < self.frame_cap as u64 {
+            self.stage_line(|s| event.write_json(s));
+            self.staged_events += 1;
+            self.events += 1;
         } else {
-            None
-        };
-        match line {
-            Some(line) => {
-                self.stage_line(&line);
-                self.staged_events += 1;
-                self.events += 1;
-            }
-            None => {
-                self.frame_dropped += 1;
-                self.dropped += 1;
-            }
+            self.frame_dropped += 1;
+            self.dropped += 1;
         }
     }
 
@@ -651,10 +645,13 @@ impl TraceSink for JsonlFileSink<'_> {
             return;
         };
         self.next_auto_frame = frame + 1;
-        self.stage_line(&format!(
-            "{{\"frame_end\":{frame},\"events\":{},\"dropped\":{}}}",
-            self.staged_events, self.frame_dropped
-        ));
+        let (events, dropped) = (self.staged_events, self.frame_dropped);
+        self.stage_line(|s| {
+            write!(
+                s,
+                "{{\"frame_end\":{frame},\"events\":{events},\"dropped\":{dropped}}}"
+            )
+        });
         match (self.write_frame)(frame, &self.staged) {
             Ok(()) => {
                 self.bytes += self.staged.len() as u64;
@@ -912,6 +909,17 @@ mod tests {
         let obj = v.as_object().expect("tagged object");
         assert_eq!(obj.len(), 1);
         assert_eq!(obj[0].0, "RxBlock");
+    }
+
+    #[test]
+    fn events_stream_as_their_trees() {
+        use serde::Serialize;
+        for ev in one_of_each() {
+            assert_eq!(
+                serde_json::to_string(&ev).unwrap(),
+                serde_json::to_string(&ev.to_value()).unwrap()
+            );
+        }
     }
 
     /// One instance of every variant, with awkward float values.

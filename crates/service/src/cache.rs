@@ -30,7 +30,7 @@
 //! results *without* moving specs is what `recheck` exists to catch.
 
 use serde::{Deserialize, Serialize, Value};
-use std::io;
+use std::io::{self, Write};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Mutex;
@@ -38,8 +38,8 @@ use std::sync::Mutex;
 use fdb_core::hash::ContentHash;
 use fdb_sim::{JobSpec, RunControl};
 
-/// The on-disk envelope wrapped around every cached result.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+/// The on-disk envelope wrapped around every cached result, as read back.
+#[derive(Debug, Clone, Deserialize)]
 struct Envelope {
     /// The job's content address (redundant with the filename; kept so
     /// an envelope is self-describing when copied around).
@@ -50,6 +50,16 @@ struct Envelope {
     job: Value,
     /// The job's canonical result JSON.
     result: Value,
+}
+
+/// [`Envelope`] as [`ResultStore::insert`] writes it: the job is written
+/// straight from its spec, with no [`Value`] tree.
+#[derive(Serialize)]
+struct EnvelopeOut<'a> {
+    job_hash: &'a str,
+    origin: &'a str,
+    job: &'a JobSpec,
+    result: &'a Value,
 }
 
 /// A hit returned by [`ResultStore::lookup`].
@@ -126,31 +136,25 @@ impl ResultStore {
         }
     }
 
-    /// Stores `result_json` (canonical result bytes) for `job` under its
+    /// Stores `result` (a job result's canonical form) for `job` under its
     /// content address. Last writer wins; the write is atomic (temp file
     /// + rename) so concurrent readers never observe a torn entry.
-    pub fn insert(&self, job: &JobSpec, result_json: &str, origin: &str) -> io::Result<()> {
+    pub fn insert(&self, job: &JobSpec, result: &Value, origin: &str) -> io::Result<()> {
         let hash = job.content_hash();
-        let job_value = serde_json::value_from_str(
-            &serde_json::to_string(job)
-                .map_err(|e| io::Error::new(io::ErrorKind::InvalidData, e.to_string()))?,
-        )
-        .map_err(|e| io::Error::new(io::ErrorKind::InvalidData, e.to_string()))?;
-        let result = serde_json::value_from_str(result_json)
-            .map_err(|e| io::Error::new(io::ErrorKind::InvalidData, e.to_string()))?;
-        let env = Envelope {
-            job_hash: hash.to_hex(),
-            origin: origin.to_string(),
-            job: job_value,
+        let env = EnvelopeOut {
+            job_hash: &hash.to_hex(),
+            origin,
+            job,
             result,
         };
-        let text = serde_json::to_string(&env)
-            .map_err(|e| io::Error::new(io::ErrorKind::InvalidData, e.to_string()))?;
         let path = self.entry_path(&hash);
         let tmp = path.with_extension("json.tmp");
         let mut entries = self.entries.lock().expect("entry-count lock");
         let new = !path.exists();
-        std::fs::write(&tmp, text + "\n")?;
+        let mut file = io::BufWriter::new(std::fs::File::create(&tmp)?);
+        serde_json::to_writer(&mut file, &env)?;
+        file.write_all(b"\n")?;
+        file.into_inner().map_err(io::IntoInnerError::into_error)?;
         std::fs::rename(&tmp, &path)?;
         *entries += new as u64;
         Ok(())
@@ -218,9 +222,7 @@ impl ResultStore {
                 "Link".to_string(),
                 Value::Object(vec![("metrics".to_string(), metrics)]),
             )]);
-            let result_json = serde_json::to_string(&result)
-                .map_err(|e| io::Error::new(io::ErrorKind::InvalidData, e.to_string()))?;
-            self.insert(&job, &result_json, &format!("golden:fault_{name}"))?;
+            self.insert(&job, &result, &format!("golden:fault_{name}"))?;
             seeded += 1;
         }
         Ok(seeded)
@@ -241,9 +243,7 @@ impl ResultStore {
                 continue;
             };
             out.checked += 1;
-            let job: JobSpec = match serde_json::from_str(
-                &serde_json::to_string(&env.job).expect("stored value re-serializes"),
-            ) {
+            let job = match JobSpec::from_value(&env.job) {
                 Ok(job) => job,
                 Err(e) => {
                     out.mismatched
@@ -337,13 +337,24 @@ mod tests {
     fn insert_then_lookup_replays_exact_bytes() {
         let store = ResultStore::open(tmpdir("roundtrip")).unwrap();
         let job = small_job(3);
-        let result = job.run(RunControl::new()).unwrap().canonical_json();
+        let result = job.run(RunControl::new()).unwrap();
+        let result_json = result.canonical_json();
         assert!(store.lookup(&job.content_hash()).is_none());
-        store.insert(&job, &result, "computed").unwrap();
+        store.insert(&job, &result.to_value(), "computed").unwrap();
+        // The entry file is the envelope's compact JSON and a newline.
+        let hash = job.content_hash().to_hex();
+        let file = std::fs::read_to_string(store.root().join(format!("{hash}.json"))).unwrap();
+        assert_eq!(
+            file,
+            format!(
+                "{{\"job_hash\":\"{hash}\",\"origin\":\"computed\",\"job\":{},\"result\":{result_json}}}\n",
+                serde_json::to_string(&job).unwrap()
+            )
+        );
         let hit = store.lookup(&job.content_hash()).expect("entry stored");
         assert_eq!(
             serde_json::to_string(&hit.result).unwrap(),
-            result,
+            result_json,
             "replayed bytes drifted"
         );
         assert_eq!(hit.origin, "computed");
@@ -358,10 +369,11 @@ mod tests {
         let store = ResultStore::open(&dir).unwrap();
         assert!(store.is_empty());
         let (a, b) = (small_job(7), small_job(8));
-        store.insert(&a, "{}", "computed").unwrap();
-        store.insert(&b, "{}", "computed").unwrap();
+        let empty = Value::Object(Vec::new());
+        store.insert(&a, &empty, "computed").unwrap();
+        store.insert(&b, &empty, "computed").unwrap();
         assert_eq!(store.len(), 2);
-        store.insert(&a, "{}", "computed").unwrap();
+        store.insert(&a, &empty, "computed").unwrap();
         assert_eq!(store.len(), 2, "a re-insert counted a second entry");
         assert_eq!(store.seed_from_golden(&repo_root()).unwrap(), 3);
         assert_eq!(store.len(), 5);
@@ -372,7 +384,7 @@ mod tests {
             for _ in 0..2 {
                 s.spawn(|| {
                     gate.wait();
-                    store.insert(&c, "{}", "computed").unwrap();
+                    store.insert(&c, &empty, "computed").unwrap();
                 });
             }
         });
@@ -405,11 +417,9 @@ mod tests {
         let job = small_job(5);
         let good = job.run(RunControl::new()).unwrap().canonical_json();
         // Store a result that belongs to a different job.
-        let wrong = small_job(6)
-            .run(RunControl::new())
-            .unwrap()
-            .canonical_json();
-        assert_ne!(good, wrong, "seeds 5 and 6 should differ");
+        let wrong = small_job(6).run(RunControl::new()).unwrap();
+        assert_ne!(good, wrong.canonical_json(), "seeds 5 and 6 should differ");
+        let wrong = wrong.to_value();
         store.insert(&job, &wrong, "computed").unwrap();
         let out = store.recheck(1);
         assert_eq!(out.checked, 1);

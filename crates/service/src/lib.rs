@@ -39,4 +39,4 @@ pub use cache::{CachedResult, RecheckOutcome, ResultStore};
 pub use protocol::{Request, Response};
 #[cfg(unix)]
 pub use service::{serve_unix, Client};
-pub use service::{Service, ServiceConfig};
+pub use service::{Emit, Service, ServiceConfig};

@@ -178,11 +178,11 @@ pub enum Response {
     ShuttingDown,
 }
 
-/// Serializes `msg` as one protocol line and flushes it.
+/// Serializes `msg` as one protocol line and flushes it. The line is
+/// written straight into `w` in small pieces, so `w` should be buffered;
+/// the flush sends it whole.
 pub fn write_line<T: Serialize, W: Write>(w: &mut W, msg: &T) -> std::io::Result<()> {
-    let line = serde_json::to_string(msg)
-        .map_err(|e| std::io::Error::new(std::io::ErrorKind::InvalidData, e.to_string()))?;
-    w.write_all(line.as_bytes())?;
+    serde_json::to_writer(&mut *w, msg)?;
     w.write_all(b"\n")?;
     w.flush()
 }
@@ -263,6 +263,87 @@ mod tests {
             let line = serde_json::to_string(&req).unwrap();
             let back: Request = serde_json::from_str(&line).unwrap();
             assert_eq!(line, serde_json::to_string(&back).unwrap());
+        }
+    }
+
+    /// Every response streams the bytes its `Value` tree writes, and a
+    /// protocol line is those bytes and a newline.
+    #[test]
+    fn every_response_streams_as_its_tree() {
+        let result = Value::Object(vec![(
+            "Link".into(),
+            Value::Object(vec![(
+                "metrics".into(),
+                Value::Array(vec![
+                    Value::Float(1.0),
+                    Value::Float(-0.0),
+                    Value::Float(2.5e-9),
+                    Value::Int(-3),
+                    Value::Uint(u64::MAX),
+                    Value::Null,
+                    Value::Bool(true),
+                    Value::Str("é\u{1}\n".into()),
+                    Value::Object(Vec::new()),
+                ]),
+            )]),
+        )]);
+        let responses = vec![
+            Response::Accepted {
+                id: 1,
+                job_hash: "9f2c".into(),
+                kind: "link".into(),
+            },
+            Response::Rejected {
+                reason: "invalid job: \"x\"".into(),
+            },
+            Response::Progress {
+                id: 1,
+                done: 2,
+                total: 6,
+            },
+            Response::Trace {
+                id: 1,
+                frame: 0,
+                text: "{\"frame_start\":0}\n{\"frame_end\":0,\"events\":0,\"dropped\":0}\n".into(),
+            },
+            Response::Done {
+                id: 1,
+                job_hash: "9f2c".into(),
+                cached: true,
+                result,
+            },
+            Response::Failed {
+                id: 2,
+                error: "timeout after 30 ms (1 units done)".into(),
+            },
+            Response::Cancelled {
+                id: 3,
+                frames_done: 4,
+            },
+            Response::CancelAck {
+                id: 3,
+                known: false,
+            },
+            Response::Pong {
+                running: 1,
+                queued: 0,
+                cache_entries: 3,
+                cache_hits: 1,
+                cache_misses: 2,
+            },
+            Response::RecheckReport {
+                checked: 2,
+                matched: 1,
+                mismatched: vec!["ab: diverges".into(), "tab\there".into()],
+            },
+            Response::ShuttingDown,
+        ];
+        for resp in responses {
+            let streamed = serde_json::to_string(&resp).unwrap();
+            assert_eq!(streamed, serde_json::to_string(&resp.to_value()).unwrap());
+            let mut line = Vec::new();
+            write_line(&mut line, &resp).unwrap();
+            assert_eq!(line, format!("{streamed}\n").into_bytes());
         }
     }
 

@@ -21,7 +21,9 @@
 //! A running job's lines are all written by the worker thread that runs
 //! it. Its cancel flag and wall-clock deadline are folded into the
 //! cooperative predicate [`JobSpec::run`] polls between frames; a timeout
-//! is told apart from a cancel by a flag the deadline check sets. A
+//! is told apart from a cancel by a flag the deadline check sets. A line
+//! that cannot be written (the client hung up) sets the cancel flag too,
+//! so an abandoned job stops at its next poll. A
 //! trace-streaming link job hands its [`JsonlFileSink`] a callback that
 //! emits each finished frame's block as a `Trace` line, so frame `k`'s
 //! trace goes out just before its `Progress` line, paced by the same
@@ -37,6 +39,7 @@
 //! A [`Request::Shutdown`] from any connection stops the accept loop and
 //! removes the socket file; [`Service::shutdown`] then drains the queue.
 
+use serde::Serialize;
 use std::cell::Cell;
 use std::collections::{HashMap, VecDeque};
 use std::path::{Path, PathBuf};
@@ -77,8 +80,11 @@ impl ServiceConfig {
     }
 }
 
-/// Where a job's response lines go: the submitting connection's writer.
-type Emit = Arc<dyn Fn(Response) + Send + Sync>;
+/// Where a request's response lines go: the submitting connection's
+/// writer. An `Err` means the line did not reach the client; the first
+/// one a running job meets cancels that job, since nobody is left to
+/// read its output.
+pub type Emit = Arc<dyn Fn(Response) -> std::io::Result<()> + Send + Sync>;
 
 const SHUTTING_DOWN: &str = "service is shutting down";
 
@@ -176,7 +182,7 @@ impl Service {
                 .lock()
                 .expect("live-job lock")
                 .remove(&job.id);
-            (job.emit)(Response::Failed {
+            let _ = (job.emit)(Response::Failed {
                 id: job.id,
                 error: "service shut down before the job started".to_string(),
             });
@@ -190,7 +196,7 @@ impl Service {
     /// order) lands on `emit` — possibly from worker threads after this
     /// call returns. Returns `false` when the request was [`Request::Shutdown`]
     /// and the transport should stop reading.
-    pub fn handle(&self, req: Request, emit: Arc<dyn Fn(Response) + Send + Sync>) -> bool {
+    pub fn handle(&self, req: Request, emit: Emit) -> bool {
         match req {
             Request::Submit {
                 job,
@@ -205,7 +211,7 @@ impl Service {
                     }
                     None => false,
                 };
-                emit(Response::CancelAck { id, known });
+                let _ = emit(Response::CancelAck { id, known });
             }
             Request::Ping => {
                 // Workers count a job as running under the queue lock, as
@@ -216,7 +222,7 @@ impl Service {
                     (running, queue.jobs.len() as u64)
                 };
                 let store = &self.shared.store;
-                emit(Response::Pong {
+                let _ = emit(Response::Pong {
                     running,
                     queued,
                     cache_entries: store.len(),
@@ -226,7 +232,7 @@ impl Service {
             }
             Request::Recheck { sample_every } => {
                 let out = self.shared.store.recheck(sample_every);
-                emit(Response::RecheckReport {
+                let _ = emit(Response::RecheckReport {
                     checked: out.checked,
                     matched: out.matched,
                     mismatched: out.mismatched,
@@ -235,7 +241,7 @@ impl Service {
             Request::Shutdown => {
                 self.shared.queue.lock().expect("queue lock").stopping = true;
                 self.shared.available.notify_all();
-                emit(Response::ShuttingDown);
+                let _ = emit(Response::ShuttingDown);
                 return false;
             }
         }
@@ -243,7 +249,9 @@ impl Service {
     }
 
     fn submit(&self, job: JobSpec, stream_trace: bool, timeout_ms: u64, emit: Emit) {
-        let reject = |reason: String| emit(Response::Rejected { reason });
+        let reject = |reason: String| {
+            let _ = emit(Response::Rejected { reason });
+        };
         if self.shared.queue.lock().expect("queue lock").stopping {
             return reject(SHUTTING_DOWN.to_string());
         }
@@ -270,13 +278,14 @@ impl Service {
         // Cache replay: untraced submissions only (see module docs).
         if !stream_trace {
             if let Some(hit) = self.shared.store.lookup(&hash) {
-                emit(accepted);
-                return emit(Response::Done {
+                let _ = emit(accepted);
+                let _ = emit(Response::Done {
                     id,
                     job_hash,
                     cached: true,
                     result: hit.result,
                 });
+                return;
             }
         }
         let reserved = {
@@ -300,7 +309,9 @@ impl Service {
             .lock()
             .expect("live-job lock")
             .insert(id, Arc::clone(&cancel));
-        emit(accepted);
+        if emit(accepted).is_err() {
+            cancel.store(true, Ordering::SeqCst);
+        }
         {
             let mut queue = self.shared.queue.lock().expect("queue lock");
             queue.reserved -= 1;
@@ -339,7 +350,7 @@ fn worker_loop(shared: &Shared) {
         // never sees it.
         shared.live.lock().expect("live-job lock").remove(&job.id);
         shared.running.fetch_sub(1, Ordering::Relaxed);
-        (job.emit)(terminal);
+        let _ = (job.emit)(terminal);
     }
 }
 
@@ -366,8 +377,14 @@ fn execute(shared: &Shared, job: &Queued) -> Response {
         }
         false
     };
+    // A line that cannot reach the client cancels the job (see `Emit`).
+    let send = |resp: Response| {
+        if emit(resp).is_err() {
+            cancel.store(true, Ordering::SeqCst);
+        }
+    };
     let mut progress = |p: JobProgress| {
-        emit(Response::Progress {
+        send(Response::Progress {
             id,
             done: p.done,
             total: p.total,
@@ -383,7 +400,7 @@ fn execute(shared: &Shared, job: &Queued) -> Response {
         // writes, even for configs with a custom cap.
         JobSpec::Link { link, .. } if stream_trace => {
             let mut sink = JsonlFileSink::from_fn(|frame, text| {
-                emit(Response::Trace {
+                send(Response::Trace {
                     id,
                     frame,
                     text: text.to_string(),
@@ -398,17 +415,17 @@ fn execute(shared: &Shared, job: &Queued) -> Response {
 
     match outcome {
         Ok(result) => {
-            let result_json = result.canonical_json();
+            // The result's tree writes the result's canonical bytes.
+            let result = result.to_value();
             if !stream_trace {
                 // Best-effort: a failed insert only costs future replays.
-                let _ = shared.store.insert(spec, &result_json, "computed");
+                let _ = shared.store.insert(spec, &result, "computed");
             }
             Response::Done {
                 id,
                 job_hash: job_hash.clone(),
                 cached: false,
-                result: serde_json::value_from_str(&result_json)
-                    .expect("canonical result bytes parse"),
+                result,
             }
         }
         Err(fdb_core::PhyError::Cancelled { frames_done }) => {
@@ -466,20 +483,17 @@ fn serve_connection(
     stop: &Arc<AtomicBool>,
     wake_path: &Path,
 ) {
-    use std::io::BufReader;
+    use std::io::{BufReader, BufWriter};
 
     let reader = match stream.try_clone() {
         Ok(s) => BufReader::new(s),
         Err(_) => return,
     };
-    let writer = Arc::new(Mutex::new(stream));
-    let emit: Emit = {
-        let writer = Arc::clone(&writer);
-        Arc::new(move |resp: Response| {
-            let mut w = writer.lock().expect("connection write lock");
-            let _ = crate::protocol::write_line(&mut *w, &resp);
-        })
-    };
+    let writer = Mutex::new(BufWriter::new(stream));
+    let emit: Emit = Arc::new(move |resp: Response| {
+        let mut w = writer.lock().expect("connection write lock");
+        crate::protocol::write_line(&mut *w, &resp)
+    });
     let mut reader = reader;
     loop {
         let req = match crate::protocol::read_request(&mut reader) {
@@ -487,7 +501,7 @@ fn serve_connection(
             Err(e) if e.kind() == std::io::ErrorKind::InvalidData => {
                 // Malformed line: reject it and keep the connection (the
                 // offending line was consumed).
-                emit(Response::Rejected {
+                let _ = emit(Response::Rejected {
                     reason: format!("unreadable request: {e}"),
                 });
                 continue;
@@ -495,7 +509,7 @@ fn serve_connection(
             Err(e) if e.kind() == std::io::ErrorKind::InvalidInput => {
                 // Over-cap line: its tail is still unread, so the stream
                 // cannot be resynchronised. Refuse it and hang up.
-                emit(Response::Rejected {
+                let _ = emit(Response::Rejected {
                     reason: format!("unreadable request: {e}"),
                 });
                 break;
@@ -517,15 +531,16 @@ fn serve_connection(
 #[cfg(unix)]
 pub struct Client {
     reader: std::io::BufReader<std::os::unix::net::UnixStream>,
-    writer: std::os::unix::net::UnixStream,
+    writer: std::io::BufWriter<std::os::unix::net::UnixStream>,
 }
 
 #[cfg(unix)]
 impl Client {
     /// Connects to a service socket.
     pub fn connect(socket_path: &Path) -> std::io::Result<Self> {
-        let writer = std::os::unix::net::UnixStream::connect(socket_path)?;
-        let reader = std::io::BufReader::new(writer.try_clone()?);
+        let stream = std::os::unix::net::UnixStream::connect(socket_path)?;
+        let reader = std::io::BufReader::new(stream.try_clone()?);
+        let writer = std::io::BufWriter::new(stream);
         Ok(Client { reader, writer })
     }
 
@@ -583,7 +598,8 @@ mod tests {
             if matches!(resp, Response::Accepted { .. }) {
                 std::thread::sleep(accept_delay);
             }
-            let _ = tx.send((std::thread::current().id(), resp));
+            tx.send((std::thread::current().id(), resp))
+                .map_err(|_| std::io::Error::from(std::io::ErrorKind::BrokenPipe))
         });
         (emit, rx)
     }
@@ -718,6 +734,34 @@ mod tests {
             Response::CancelAck { known: false, .. }
         ));
         assert_eq!(pong(&service), (0, 0));
+        service.shutdown();
+    }
+
+    #[test]
+    fn a_failed_write_cancels_the_job() {
+        let service = service("hangup", 1, 8);
+        // A client that takes `Accepted` and one `Progress`, then is gone:
+        // every later write fails (the lines are still collected here).
+        let (tx, rx) = mpsc::channel();
+        let sent = std::sync::atomic::AtomicU64::new(0);
+        let emit: Emit = Arc::new(move |resp| {
+            let n = sent.fetch_add(1, Ordering::SeqCst);
+            let _ = tx.send((std::thread::current().id(), resp));
+            if n < 2 {
+                Ok(())
+            } else {
+                Err(std::io::ErrorKind::BrokenPipe.into())
+            }
+        });
+        submit(&service, job(100_000, 9), false, 0, &emit);
+        match wait_terminal(&rx) {
+            Response::Cancelled { frames_done, .. } => {
+                assert!(frames_done < 100, "ran {frames_done} frames for nobody")
+            }
+            other => panic!("expected cancellation, got {other:?}"),
+        }
+        assert_eq!(pong(&service), (0, 0));
+        assert!(service.store().is_empty(), "a cancelled job was cached");
         service.shutdown();
     }
 

@@ -370,11 +370,14 @@ fn over_cap_request_line_is_rejected_and_service_stays_up() {
 
 /// A client that hangs up in the middle of a job's stream (a traced link
 /// job in trace builds, progress lines otherwise) does not take the
-/// service down: the job's worker finishes writing into the closed
-/// connection, a new connection's `Ping` is answered, the running count
-/// returns to 0, and new jobs still run.
+/// service down, and does not leave the job running for nobody: the
+/// job's first write into the closed connection cancels it, so the
+/// running count returns to 0 long before the job's frames could have
+/// run, nothing is cached, and new jobs still run.
 #[test]
 fn client_hangup_mid_stream_leaves_the_service_serving() {
+    /// Far more frames than run in the deadline below, even in release.
+    const FRAMES: u64 = 100_000;
     let dir = scratch("hangup");
     let socket = dir.join("service.sock");
     let service =
@@ -388,7 +391,7 @@ fn client_hangup_mid_stream_leaves_the_service_serving() {
     let mut leaver = connect_with_retry(&socket);
     leaver
         .send(&Request::Submit {
-            job: link_job(24, 31),
+            job: link_job(FRAMES, 31),
             stream_trace: fdb_core::trace::ENABLED,
             timeout_ms: 0,
         })
@@ -405,24 +408,29 @@ fn client_hangup_mid_stream_leaves_the_service_serving() {
     drop(leaver);
 
     let mut client = connect_with_retry(&socket);
-    let deadline = std::time::Instant::now() + std::time::Duration::from_secs(120);
+    let deadline = std::time::Instant::now() + std::time::Duration::from_secs(20);
     loop {
         client.send(&Request::Ping).unwrap();
         match client.recv().unwrap().unwrap() {
             Response::Pong {
                 running: 0,
                 queued: 0,
+                cache_entries,
                 ..
-            } => break,
+            } => {
+                assert_eq!(cache_entries, 0, "the abandoned job was cached");
+                break;
+            }
             Response::Pong { .. } => {}
             other => panic!("expected Pong, got {other:?}"),
         }
         assert!(
             std::time::Instant::now() < deadline,
-            "the abandoned job never finished"
+            "the abandoned job was not cancelled: still running after 20 s"
         );
         std::thread::sleep(std::time::Duration::from_millis(20));
     }
+    assert!(service.store().is_empty(), "the abandoned job was cached");
     let (_, _, cached) = submit(&mut client, link_job(2, 32), false);
     assert!(!cached);
 

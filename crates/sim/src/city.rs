@@ -489,16 +489,17 @@ pub struct CityReport {
 impl CityReport {
     /// Writes the report as JSONL: one line per active-tag ledger, then
     /// one `{"summary":true,...}` line with the totals — the `probe
-    /// city` reporter format.
+    /// city` reporter format. Each line is written straight into `w` in
+    /// small pieces, so `w` should be buffered.
     pub fn write_jsonl<W: Write>(&self, w: &mut W) -> std::io::Result<()> {
-        let err = |e: serde_json::Error| std::io::Error::other(e.to_string());
         for ledger in &self.ledgers {
-            writeln!(w, "{}", serde_json::to_string(ledger).map_err(err)?)?;
+            serde_json::to_writer(&mut *w, ledger)?;
+            w.write_all(b"\n")?;
         }
         #[derive(Serialize)]
-        struct Summary {
+        struct Summary<'a> {
             summary: bool,
-            label: String,
+            label: &'a str,
             seed: u64,
             n_active: u32,
             n_idle: u32,
@@ -506,11 +507,11 @@ impl CityReport {
             events_processed: u64,
             peak_queue: u64,
             conserved: bool,
-            totals: CityTotals,
+            totals: &'a CityTotals,
         }
-        let line = serde_json::to_string(&Summary {
+        let summary = Summary {
             summary: true,
-            label: self.label.clone(),
+            label: &self.label,
             seed: self.seed,
             n_active: self.n_active,
             n_idle: self.n_idle,
@@ -518,10 +519,10 @@ impl CityReport {
             events_processed: self.events_processed,
             peak_queue: self.peak_queue,
             conserved: self.totals.conserved(),
-            totals: self.totals,
-        })
-        .map_err(err)?;
-        writeln!(w, "{line}")
+            totals: &self.totals,
+        };
+        serde_json::to_writer(&mut *w, &summary)?;
+        w.write_all(b"\n")
     }
 }
 

@@ -3,7 +3,8 @@
 //! clean-link, hunting (out-of-range) link, faulted-link, and MAC-session
 //! paths perform **zero** heap
 //! allocations — for both frame engines (per-sample reference and block),
-//! with and without `fdb-core/trace`. The file compiles under both
+//! with and without `fdb-core/trace` — and so does hashing a 10k-tag city
+//! report, whose canonical JSON streams into the hash. The file compiles under both
 //! configs and CI runs it in each. Untraced dispatch takes the block
 //! engine in both; with `--features fdb-core/trace` a frame with a
 //! caller-owned ring takes the reference engine and its probes.
@@ -22,8 +23,10 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use fd_backscatter::channel::impairment::{FaultKind, FrameFaults, ScheduledFault};
 use fd_backscatter::mac::scenario::{run_session, RatePolicy, SessionConfig};
 use fd_backscatter::phy::draws::{enter_run, with_draw_ahead, DrawAhead};
+use fd_backscatter::phy::hash::{canonical_json, ContentHash};
 use fd_backscatter::phy::trace::{RingSink, ENABLED};
 use fd_backscatter::prelude::*;
+use fd_backscatter::sim::city::{CityEngine, CityScenarioSpec};
 use rand::{RngCore, SeedableRng};
 use rand_chacha::ChaCha8Rng;
 
@@ -350,4 +353,29 @@ fn mac_session_is_allocation_free_after_warmup() {
     let n = end.get() - start.get();
     record_alloc("mac_session", n, session.frames - 1);
     assert_eq!(n, 0, "MAC session allocated {n} times across steady-state slots");
+}
+
+#[test]
+fn hashing_a_city_report_allocates_nothing() {
+    // The report's canonical JSON streams into the hash lanes: no string
+    // and no `Value` tree, however many ledgers the report holds.
+    let spec = CityScenarioSpec {
+        label: "city-10k-hash".into(),
+        seed: 42,
+        n_active: 10_000,
+        sim_duration_s: 600.0,
+        mean_interarrival_s: 60.0,
+        log_frames: true,
+        ..CityScenarioSpec::default()
+    };
+    let report = CityEngine::run(&spec).unwrap();
+    assert_eq!(report.ledgers.len(), 10_000);
+    assert!(!report.frames.is_empty());
+    let start = allocs_on_this_thread();
+    let hash = ContentHash::of_canonical("city-report", &report);
+    let n = allocs_on_this_thread() - start;
+    let text = format!("city-report:{}", canonical_json(&report));
+    assert_eq!(hash, ContentHash::of_bytes(text.as_bytes()));
+    record_alloc("hash_city_report", n, report.ledgers.len() as u64);
+    assert_eq!(n, 0, "hashing a 10k-tag city report allocated {n} times");
 }

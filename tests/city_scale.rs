@@ -230,6 +230,10 @@ fn ten_thousand_tags_one_sim_hour_within_budget() {
     let wall = start.elapsed().as_secs_f64();
     assert!(report.totals.conserved(), "{:?}", report.totals);
     assert!(report.totals.delivered > 0, "{:?}", report.totals);
+    assert_eq!(
+        report.events_processed, 1_572_712,
+        "seed 42's event count moved (the count in BENCH_pr14.json)"
+    );
     assert!(
         wall < 60.0,
         "10k tags x 1 sim hour took {wall:.1} s (budget 60 s)"

@@ -37,6 +37,20 @@ fn helper_threads() -> Option<usize> {
     )
 }
 
+/// [`helper_threads`] once the count is `want`, or after a second. A new
+/// thread carries its spawner's name until it first runs and names
+/// itself, which on a loaded machine can be after a run's first frame.
+fn helper_threads_settled(want: usize) -> Option<usize> {
+    let deadline = Instant::now() + Duration::from_secs(1);
+    loop {
+        let n = helper_threads();
+        if n.is_none_or(|n| n == want) || Instant::now() >= deadline {
+            return n;
+        }
+        std::thread::sleep(Duration::from_millis(1));
+    }
+}
+
 /// Asserts that no helper thread is left. A joined thread can linger in
 /// `/proc/self/task` for a moment while the kernel releases it, so this
 /// waits up to a second for the entry to go.
@@ -69,15 +83,15 @@ fn json_files(dir: &str) -> Vec<std::path::PathBuf> {
 /// and returns the metrics.
 fn with_helper(cfg: &LinkConfig, spec: &MeasureSpec) -> LinkMetrics {
     assert_no_helper_left("the previous run");
+    let want = usize::from(!cfg.draws_depend_on_sample_index());
     let mut seen = None;
     let mut observe = |i: u64, _: &FrameOutcome| {
         if i == 0 {
-            seen = helper_threads();
+            seen = helper_threads_settled(want);
         }
     };
     let m = run_link_with_helper(cfg, spec, LinkRun::new().with_observe(&mut observe), true)
         .unwrap();
-    let want = usize::from(!cfg.draws_depend_on_sample_index());
     assert!(seen.is_none_or(|n| n == want), "{seen:?} helpers during the run, want {want}");
     m
 }
@@ -165,7 +179,7 @@ fn time_to_return(exit: Exit) -> Duration {
         }
         let mut trigger = Instant::now();
         let mut observe = |i: u64, _: &FrameOutcome| {
-            assert!(helper_threads().is_none_or(|n| n == 1), "no helper attached");
+            assert!(helper_threads_settled(1).is_none_or(|n| n == 1), "no helper attached");
             trigger = Instant::now();
             if let (Exit::ObserverPanic, 1) = (exit, i) {
                 panic!("observer panics on purpose");

@@ -90,6 +90,9 @@ ALLOC_SCENARIOS = {
     "alloc/draw_ahead_link": 0,
     # PR-10: second run of a reused CityEngine (tests/city_scale.rs).
     "alloc/city_steady": 0,
+    # ContentHash::of_canonical of a 10k-tag CityReport: the JSON streams
+    # into the hash lanes (tests/alloc_steady_state.rs).
+    "alloc/hash_city_report": 0,
 }
 
 # City-scale scenarios the trajectory tracks, from tests/city_scale.rs
